@@ -4,105 +4,40 @@
 //! your own) to the right neighbor and receive the next block from the
 //! left neighbor. Bandwidth-optimal for large payloads.
 
-use mpfa_core::{AsyncPoll, Completer, Request, Status};
+use std::ops::Range;
 
 use crate::comm::Comm;
-use crate::datatype::{from_bytes, to_bytes, MpiType};
+use crate::datatype::MpiType;
 use crate::error::MpiResult;
-use crate::matching::RecvSlot;
-use crate::sched::CollTask;
+use crate::sched::{Plan, Step};
 
-use super::future::{CollFuture, CollOutput};
+use super::CollFuture;
 
-enum AgState {
-    Round(u32),
-    Wait {
-        round: u32,
-        recv_block: usize,
-        send: Request,
-        recv: Request,
-        slot: RecvSlot,
-    },
-}
-
-struct AllgatherTask<T: MpiType> {
-    comm: Comm,
-    seq: u64,
-    count: usize,
-    /// Accumulated blocks, indexed by source rank.
-    blocks: Vec<Option<Vec<T>>>,
-    state: AgState,
-    out: CollOutput<T>,
-    completer: Option<Completer>,
-}
-
-impl<T: MpiType> AllgatherTask<T> {
-    fn finish(&mut self) -> AsyncPoll {
-        let mut all = Vec::with_capacity(self.count * self.comm.size());
-        for block in &mut self.blocks {
-            all.extend(block.take().expect("all blocks present at finish"));
-        }
-        self.out.deposit(all);
-        if let Some(c) = self.completer.take() {
-            c.complete(Status::empty());
-        }
-        AsyncPoll::Done
+/// Circulate blocks around the ring until every rank holds all of them.
+/// Rank `r` starts out owning block `(r + first) mod P`; `block(i)` is
+/// block `i`'s range of the buffer.
+pub(super) fn ring_allgather(
+    me: usize,
+    size: usize,
+    first: usize,
+    block: impl Fn(usize) -> Range<usize>,
+) -> Vec<Step> {
+    let (right, left) = ((me + 1) % size, (me + size - 1) % size);
+    let mut steps = Vec::new();
+    for r in 0..size - 1 {
+        steps.push(Step::send(right, block((me + first + size - r) % size)));
+        steps.push(Step::recv(left, block((me + first + size - r - 1) % size)));
+        steps.push(Step::Barrier);
     }
+    steps
 }
 
-impl<T: MpiType> CollTask for AllgatherTask<T> {
-    fn advance(&mut self) -> AsyncPoll {
-        let size = self.comm.size() as i32;
-        let rank = self.comm.rank();
-        match &mut self.state {
-            AgState::Round(round) => {
-                let r = *round;
-                if r as usize >= self.comm.size() - 1 {
-                    return self.finish();
-                }
-                let right = (rank + 1).rem_euclid(size);
-                let left = (rank - 1).rem_euclid(size);
-                let send_block = (rank - r as i32).rem_euclid(size) as usize;
-                let recv_block = (rank - r as i32 - 1).rem_euclid(size) as usize;
-                let tag = Comm::coll_tag(self.seq, r);
-                let payload = to_bytes(
-                    self.blocks[send_block]
-                        .as_ref()
-                        .expect("send block present"),
-                );
-                let send = self
-                    .comm
-                    .isend_on_ctx(self.comm.coll_ctx(), payload, right, tag);
-                let (recv, slot) =
-                    self.comm
-                        .irecv_on_ctx(self.comm.coll_ctx(), self.count * T::SIZE, left, tag);
-                self.state = AgState::Wait {
-                    round: r,
-                    recv_block,
-                    send,
-                    recv,
-                    slot,
-                };
-                AsyncPoll::Progress
-            }
-            AgState::Wait {
-                round,
-                recv_block,
-                send,
-                recv,
-                slot,
-            } => {
-                if !(send.is_complete() && recv.is_complete()) {
-                    return AsyncPoll::Pending;
-                }
-                let block: Vec<T> = from_bytes(&slot.take());
-                let rb = *recv_block;
-                let r = *round;
-                self.blocks[rb] = Some(block);
-                self.state = AgState::Round(r + 1);
-                AsyncPoll::Progress
-            }
-        }
+pub(crate) fn allgather(me: usize, size: usize, count: usize) -> Plan {
+    Plan {
+        steps: ring_allgather(me, size, 0, |i| i * count..(i + 1) * count),
+        len: size * count,
+        at: me * count,
+        out: 0..size * count,
     }
 }
 
@@ -111,30 +46,13 @@ impl Comm {
     /// `data` (same length everywhere); the future yields the
     /// concatenation in rank order.
     pub fn iallgather<T: MpiType>(&self, data: &[T]) -> MpiResult<CollFuture<T>> {
-        let count = data.len();
-        let size = self.size();
-        let mut blocks: Vec<Option<Vec<T>>> = vec![None; size];
-        blocks[self.rank() as usize] = Some(data.to_vec());
-
-        let seq = self.next_coll_seq();
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::<T>::pair(req);
-        let task = AllgatherTask {
-            comm: self.clone(),
-            seq,
-            count,
-            blocks,
-            state: AgState::Round(0),
-            out,
-            completer: Some(completer),
-        };
-        self.bundle().sched.submit(Box::new(task));
-        Ok(fut)
+        let plan = allgather(self.rank() as usize, self.size(), data.len());
+        self.start_sched(plan, data)
     }
 
     /// Blocking allgather (`MPI_Allgather`).
     pub fn allgather<T: MpiType>(&self, data: &[T]) -> MpiResult<Vec<T>> {
-        Ok(self.iallgather(data)?.wait().0)
+        Ok(self.iallgather(data)?.wait_result()?.0)
     }
 }
 

@@ -7,277 +7,64 @@
 //! Figure 13: datatype dispatch, op indirection, and the pre/post phases
 //! that fold non-power-of-two rank counts onto the nearest power of two.
 
-use mpfa_core::{AsyncPoll, Completer, Request, RequestError, Status};
-
 use crate::comm::Comm;
-use crate::datatype::{from_bytes, to_bytes};
 use crate::error::MpiResult;
-use crate::matching::RecvSlot;
 use crate::op::{Op, Reducible};
-use crate::sched::{check_stage, CollTask, StageCheck};
+use crate::sched::{Plan, Step};
 
-use super::future::{CollFuture, CollOutput};
+use super::CollFuture;
 
-const ROUND_PRE: u32 = 0;
-const ROUND_POST: u32 = 254;
-const ROUND_DOUBLE_BASE: u32 = 1;
+/// The first `2·rem` ranks pair up (`rem = size − pof2`): the even one
+/// folds its data into its odd neighbour and sits out the doubling
+/// rounds, which run among the `pof2` remaining ranks; a last round hands
+/// the result back.
+pub(crate) fn allreduce_rd(me: usize, size: usize, n: usize) -> Vec<Step> {
+    let pof2 = 1usize << size.ilog2();
+    let rem = size - pof2;
+    // My neighbour in a folded pair, and whether I am its even half.
+    let pair = (me < 2 * rem).then_some(me ^ 1);
+    let sits_out = pair.is_some() && me.is_multiple_of(2);
+    // Rank within the power-of-two core, and the real rank of a core rank.
+    let core = match pair {
+        Some(_) if sits_out => None,
+        Some(_) => Some(me / 2),
+        None => Some(me - rem),
+    };
+    let real_of = |core: usize| if core < rem { core * 2 + 1 } else { core + rem };
 
-enum ArState {
-    Start,
-    /// Extra even rank: data sent to the partner; awaiting send completion,
-    /// then the final result (post phase).
-    PreSendWait(Request),
-    /// Extra even rank: waiting for the final result from the partner.
-    FinalRecv(Request, RecvSlot),
-    /// Odd partner rank: absorbing the extra rank's data.
-    PreRecvWait(Request, RecvSlot),
-    /// A recursive-doubling exchange in flight.
-    Exchange {
-        mask: usize,
-        send: Request,
-        recv: Request,
-        slot: RecvSlot,
-    },
-    /// Post phase: returning the result to the folded-out even rank.
-    PostSendWait(Request),
-}
-
-struct AllreduceTask<T: Reducible> {
-    comm: Comm,
-    seq: u64,
-    op: Op,
-    acc: Vec<T>,
-    /// Rank within the power-of-two core (None for folded-out ranks).
-    newrank: Option<usize>,
-    pof2: usize,
-    rem: usize,
-    state: ArState,
-    out: CollOutput<T>,
-    completer: Option<Completer>,
-}
-
-impl<T: Reducible> AllreduceTask<T> {
-    fn rank(&self) -> usize {
-        self.comm.rank() as usize
+    // One allocation: this list is built on every call.
+    let mut steps = Vec::with_capacity(3 * (pof2.ilog2() as usize + 2));
+    if rem > 0 {
+        steps.extend(pair.map(|p| match sits_out {
+            true => Step::send(p, 0..n),
+            false => Step::recv_reduce(p, 0..n),
+        }));
+        steps.push(Step::Barrier);
     }
-
-    /// Real rank of power-of-two-core rank `new`.
-    fn real_of(&self, new: usize) -> i32 {
-        if new < self.rem {
-            (new * 2 + 1) as i32
-        } else {
-            (new + self.rem) as i32
+    for k in 0..pof2.ilog2() {
+        if let Some(core) = core {
+            let partner = real_of(core ^ (1 << k));
+            steps.push(Step::send(partner, 0..n));
+            steps.push(Step::recv_reduce(partner, 0..n));
         }
+        steps.push(Step::Barrier);
     }
-
-    fn finish(&mut self) -> AsyncPoll {
-        self.out.deposit(std::mem::take(&mut self.acc));
-        if let Some(c) = self.completer.take() {
-            c.complete(Status::empty());
-        }
-        AsyncPoll::Done
+    if rem > 0 {
+        steps.extend(pair.map(|p| match sits_out {
+            true => Step::recv(p, 0..n),
+            false => Step::send(p, 0..n),
+        }));
+        steps.push(Step::Barrier);
     }
-
-    /// A stage request failed (peer death / revocation): fail the
-    /// collective's request so waiters unblock with the error.
-    fn abort(&mut self, err: RequestError) -> AsyncPoll {
-        self.out.deposit(Vec::new());
-        if let Some(c) = self.completer.take() {
-            c.fail(err);
-        }
-        AsyncPoll::Done
-    }
-
-    /// Issue the next doubling round, or move to the post phase.
-    fn next_round(&mut self, mask: usize) -> AsyncPoll {
-        if mask >= self.pof2 {
-            return self.post_phase();
-        }
-        let newrank = self.newrank.expect("only core ranks double");
-        let partner_new = newrank ^ mask;
-        let partner = self.real_of(partner_new);
-        let tag = Comm::coll_tag(self.seq, ROUND_DOUBLE_BASE + mask.trailing_zeros());
-        let send = self
-            .comm
-            .isend_on_ctx(self.comm.coll_ctx(), to_bytes(&self.acc), partner, tag);
-        let (recv, slot) =
-            self.comm
-                .irecv_on_ctx(self.comm.coll_ctx(), self.acc.len() * T::SIZE, partner, tag);
-        self.state = ArState::Exchange {
-            mask,
-            send,
-            recv,
-            slot,
-        };
-        AsyncPoll::Progress
-    }
-
-    /// After the doubling rounds: hand results back to folded-out ranks.
-    fn post_phase(&mut self) -> AsyncPoll {
-        let rank = self.rank();
-        if rank < 2 * self.rem && rank % 2 == 1 {
-            // We hold the result for our even partner too.
-            let tag = Comm::coll_tag(self.seq, ROUND_POST);
-            let req = self.comm.isend_on_ctx(
-                self.comm.coll_ctx(),
-                to_bytes(&self.acc),
-                (rank - 1) as i32,
-                tag,
-            );
-            self.state = ArState::PostSendWait(req);
-            AsyncPoll::Progress
-        } else {
-            self.finish()
-        }
-    }
-}
-
-impl<T: Reducible> CollTask for AllreduceTask<T> {
-    fn advance(&mut self) -> AsyncPoll {
-        match &mut self.state {
-            ArState::Start => {
-                let rank = self.rank();
-                if rank < 2 * self.rem {
-                    let tag = Comm::coll_tag(self.seq, ROUND_PRE);
-                    if rank.is_multiple_of(2) {
-                        // Fold out: contribute data to the odd partner.
-                        let req = self.comm.isend_on_ctx(
-                            self.comm.coll_ctx(),
-                            to_bytes(&self.acc),
-                            (rank + 1) as i32,
-                            tag,
-                        );
-                        self.state = ArState::PreSendWait(req);
-                    } else {
-                        let (req, slot) = self.comm.irecv_on_ctx(
-                            self.comm.coll_ctx(),
-                            self.acc.len() * T::SIZE,
-                            (rank - 1) as i32,
-                            tag,
-                        );
-                        self.state = ArState::PreRecvWait(req, slot);
-                    }
-                    AsyncPoll::Progress
-                } else {
-                    self.next_round(1)
-                }
-            }
-            ArState::PreSendWait(req) => {
-                match check_stage(&[req]) {
-                    StageCheck::Wait => return AsyncPoll::Pending,
-                    StageCheck::Failed(err) => return self.abort(err),
-                    StageCheck::Ready => {}
-                }
-                // Wait for the final result from the partner.
-                let tag = Comm::coll_tag(self.seq, ROUND_POST);
-                let rank = self.rank();
-                let (recv, slot) = self.comm.irecv_on_ctx(
-                    self.comm.coll_ctx(),
-                    self.acc.len() * T::SIZE,
-                    (rank + 1) as i32,
-                    tag,
-                );
-                self.state = ArState::FinalRecv(recv, slot);
-                AsyncPoll::Progress
-            }
-            ArState::FinalRecv(req, slot) => {
-                match check_stage(&[req]) {
-                    StageCheck::Wait => return AsyncPoll::Pending,
-                    StageCheck::Failed(err) => return self.abort(err),
-                    StageCheck::Ready => {}
-                }
-                self.acc = from_bytes(&slot.take());
-                self.finish()
-            }
-            ArState::PreRecvWait(req, slot) => {
-                match check_stage(&[req]) {
-                    StageCheck::Wait => return AsyncPoll::Pending,
-                    StageCheck::Failed(err) => return self.abort(err),
-                    StageCheck::Ready => {}
-                }
-                let contribution: Vec<T> = from_bytes(&slot.take());
-                self.op
-                    .apply(&mut self.acc, &contribution)
-                    .expect("op validated at initiation");
-                self.next_round(1)
-            }
-            ArState::Exchange {
-                mask,
-                send,
-                recv,
-                slot,
-            } => {
-                match check_stage(&[send, recv]) {
-                    StageCheck::Wait => return AsyncPoll::Pending,
-                    StageCheck::Failed(err) => return self.abort(err),
-                    StageCheck::Ready => {}
-                }
-                let m = *mask;
-                let contribution: Vec<T> = from_bytes(&slot.take());
-                self.op
-                    .apply(&mut self.acc, &contribution)
-                    .expect("op validated at initiation");
-                self.next_round(m << 1)
-            }
-            ArState::PostSendWait(req) => {
-                match check_stage(&[req]) {
-                    StageCheck::Wait => return AsyncPoll::Pending,
-                    StageCheck::Failed(err) => return self.abort(err),
-                    StageCheck::Ready => {}
-                }
-                self.finish()
-            }
-        }
-    }
+    steps
 }
 
 impl Comm {
     /// Nonblocking allreduce (`MPI_Iallreduce`) — the full general path:
     /// any [`Reducible`] type, any built-in op, any rank count.
     pub fn iallreduce<T: Reducible>(&self, data: &[T], op: Op) -> MpiResult<CollFuture<T>> {
-        op.apply::<T>(&mut [], &[])?;
-        if let Some(err) = self.coll_fault() {
-            // Revoked (or all-peers-dead) comm: a born-failed future,
-            // so callers see the error without touching the schedule.
-            let (fut, out) = CollFuture::<T>::pair(Request::failed(self.stream(), err));
-            out.deposit(Vec::new());
-            return Ok(fut);
-        }
-        let size = self.size();
-        let pof2 = if size == 0 {
-            1
-        } else {
-            1usize << (usize::BITS - 1 - size.leading_zeros())
-        };
-        let rem = size - pof2;
-        let rank = self.rank() as usize;
-        let newrank = if rank < 2 * rem {
-            if rank.is_multiple_of(2) {
-                None
-            } else {
-                Some(rank / 2)
-            }
-        } else {
-            Some(rank - rem)
-        };
-
-        let seq = self.next_coll_seq();
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::<T>::pair(req);
-        let task = AllreduceTask {
-            comm: self.clone(),
-            seq,
-            op,
-            acc: data.to_vec(),
-            newrank,
-            pof2,
-            rem,
-            state: ArState::Start,
-            out,
-            completer: Some(completer),
-        };
-        self.bundle().sched.submit(Box::new(task));
-        Ok(fut)
+        let steps = allreduce_rd(self.rank() as usize, self.size(), data.len());
+        self.start_reduce_sched(Plan::in_place(steps, data.len()), data, op)
     }
 
     /// Blocking allreduce (`MPI_Allreduce`): the reduction of `data`

@@ -1,54 +1,35 @@
 //! Linear (pairwise) all-to-all.
 //!
 //! Every rank posts one receive and one send per peer, plus a local copy
-//! for its own block, and completes when all are done.
-
-use mpfa_core::{AsyncPoll, Completer, Request, Status};
+//! for its own block, and completes when all are done. The working buffer
+//! is the send half followed by the receive half.
 
 use crate::comm::Comm;
-use crate::datatype::{from_bytes, to_bytes, MpiType};
-use crate::error::{MpiError, MpiResult};
-use crate::matching::RecvSlot;
-use crate::sched::CollTask;
+use crate::datatype::MpiType;
+use crate::error::MpiResult;
+use crate::sched::{Land, Plan, Step};
 
-use super::future::{CollFuture, CollOutput};
+use super::{count_is, CollFuture};
 
-struct AlltoallTask<T: MpiType> {
-    count: usize,
-    size: usize,
-    rank: usize,
-    own_block: Vec<T>,
-    sends: Vec<Request>,
-    recvs: Vec<Option<(Request, RecvSlot)>>,
-    out: CollOutput<T>,
-    completer: Option<Completer>,
-}
-
-impl<T: MpiType> CollTask for AlltoallTask<T> {
-    fn advance(&mut self) -> AsyncPoll {
-        let recvs_done = self
-            .recvs
-            .iter()
-            .all(|r| r.as_ref().map(|(req, _)| req.is_complete()).unwrap_or(true));
-        if !(recvs_done && Request::all_complete(&self.sends)) {
-            return AsyncPoll::Pending;
-        }
-        let mut result = Vec::with_capacity(self.count * self.size);
-        let recvs = std::mem::take(&mut self.recvs);
-        for (src, entry) in recvs.into_iter().enumerate() {
-            match entry {
-                Some((_, slot)) => result.extend(from_bytes::<T>(&slot.take())),
-                None => {
-                    debug_assert_eq!(src, self.rank);
-                    result.extend(std::mem::take(&mut self.own_block));
-                }
-            }
-        }
-        self.out.deposit(result);
-        if let Some(c) = self.completer.take() {
-            c.complete(Status::empty());
-        }
-        AsyncPoll::Done
+pub(crate) fn alltoall(me: usize, size: usize, count: usize) -> Plan {
+    let half = size * count;
+    let sent = |i: usize| i * count..(i + 1) * count;
+    let landed = |i: usize| half + i * count..half + (i + 1) * count;
+    let peers = || (0..size).filter(move |&p| p != me);
+    // Receives before sends: expected-path matching for eager payloads.
+    let mut steps: Vec<Step> = peers().map(|src| Step::recv(src, landed(src))).collect();
+    steps.extend(peers().map(|dst| Step::send(dst, sent(dst))));
+    steps.push(Step::Local {
+        src: sent(me),
+        dst: landed(me),
+        land: Land::Copy,
+    });
+    steps.push(Step::Barrier);
+    Plan {
+        steps,
+        len: 2 * half,
+        at: 0,
+        out: half..2 * half,
     }
 }
 
@@ -57,58 +38,13 @@ impl Comm {
     /// elements per destination rank; the future yields `count` elements
     /// per source rank.
     pub fn ialltoall<T: MpiType>(&self, data: &[T], count: usize) -> MpiResult<CollFuture<T>> {
-        let size = self.size();
-        if data.len() != count * size {
-            return Err(MpiError::CountMismatch {
-                got: data.len(),
-                expected: count * size,
-            });
-        }
-        let rank = self.rank() as usize;
-        let seq = self.next_coll_seq();
-        let tag = Comm::coll_tag(seq, 0);
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::<T>::pair(req);
-
-        // Post all receives before the sends (good practice: expected-path
-        // matching for the eager payloads).
-        let recvs: Vec<Option<(Request, RecvSlot)>> = (0..size as i32)
-            .map(|src| {
-                if src as usize == rank {
-                    None
-                } else {
-                    Some(self.irecv_on_ctx(self.coll_ctx(), count * T::SIZE, src, tag))
-                }
-            })
-            .collect();
-        let mut sends = Vec::with_capacity(size.saturating_sub(1));
-        let mut own_block = Vec::new();
-        for dst in 0..size as i32 {
-            let block = &data[dst as usize * count..(dst as usize + 1) * count];
-            if dst as usize == rank {
-                own_block = block.to_vec();
-            } else {
-                sends.push(self.isend_on_ctx(self.coll_ctx(), to_bytes(block), dst, tag));
-            }
-        }
-
-        let task = AlltoallTask {
-            count,
-            size,
-            rank,
-            own_block,
-            sends,
-            recvs,
-            out,
-            completer: Some(completer),
-        };
-        self.bundle().sched.submit(Box::new(task));
-        Ok(fut)
+        count_is(data.len(), count * self.size())?;
+        self.start_sched(alltoall(self.rank() as usize, self.size(), count), data)
     }
 
     /// Blocking all-to-all (`MPI_Alltoall`).
     pub fn alltoall<T: MpiType>(&self, data: &[T], count: usize) -> MpiResult<Vec<T>> {
-        Ok(self.ialltoall(data, count)?.wait().0)
+        Ok(self.ialltoall(data, count)?.wait_result()?.0)
     }
 }
 

@@ -4,86 +4,29 @@
 //! `(rank + 2^k) mod P` and receives one from `(rank − 2^k) mod P`. No rank
 //! leaves until every rank has entered.
 
-use mpfa_core::{AsyncPoll, Completer, Request, Status};
-
 use crate::comm::Comm;
 use crate::error::MpiResult;
-use crate::sched::{check_stage, CollTask, StageCheck};
+use crate::sched::{Plan, Step};
 
-use super::future::{CollFuture, CollOutput};
+use super::CollFuture;
 
-struct BarrierTask {
-    comm: Comm,
-    seq: u64,
-    round: u32,
-    nrounds: u32,
-    pending: Option<(Request, Request)>,
-    out: CollOutput<u8>,
-    completer: Option<Completer>,
-}
-
-impl CollTask for BarrierTask {
-    fn advance(&mut self) -> AsyncPoll {
-        if let Some((s, r)) = &self.pending {
-            match check_stage(&[s, r]) {
-                StageCheck::Wait => return AsyncPoll::Pending,
-                StageCheck::Failed(err) => {
-                    self.out.deposit(Vec::new());
-                    if let Some(c) = self.completer.take() {
-                        c.fail(err);
-                    }
-                    return AsyncPoll::Done;
-                }
-                StageCheck::Ready => {}
-            }
-            self.pending = None;
-            self.round += 1;
-        }
-        if self.round >= self.nrounds {
-            self.out.deposit(Vec::new());
-            if let Some(c) = self.completer.take() {
-                c.complete(Status::empty());
-            }
-            return AsyncPoll::Done;
-        }
-        let size = self.comm.size() as i32;
-        let dist = 1i32 << self.round;
-        let dst = (self.comm.rank() + dist).rem_euclid(size);
-        let src = (self.comm.rank() - dist).rem_euclid(size);
-        let tag = Comm::coll_tag(self.seq, self.round);
-        let sreq = self
-            .comm
-            .isend_on_ctx(self.comm.coll_ctx(), Vec::new(), dst, tag);
-        let (rreq, _slot) = self.comm.irecv_on_ctx(self.comm.coll_ctx(), 0, src, tag);
-        self.pending = Some((sreq, rreq));
-        AsyncPoll::Progress
+pub(crate) fn barrier(me: usize, size: usize) -> Vec<Step> {
+    let mut steps = Vec::new();
+    let mut dist = 1;
+    while dist < size {
+        steps.push(Step::send((me + dist) % size, 0..0));
+        steps.push(Step::recv((me + size - dist) % size, 0..0));
+        steps.push(Step::Barrier);
+        dist <<= 1;
     }
+    steps
 }
 
 impl Comm {
     /// Nonblocking barrier (`MPI_Ibarrier`), dissemination algorithm.
     pub fn ibarrier(&self) -> MpiResult<CollFuture<u8>> {
-        if let Some(err) = self.coll_fault() {
-            let (fut, out) = CollFuture::<u8>::pair(Request::failed(self.stream(), err));
-            out.deposit(Vec::new());
-            return Ok(fut);
-        }
-        let seq = self.next_coll_seq();
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::pair(req);
-        let nrounds =
-            (usize::BITS - (self.size() - 1).leading_zeros()) * u32::from(self.size() > 1);
-        let task = BarrierTask {
-            comm: self.clone(),
-            seq,
-            round: 0,
-            nrounds,
-            pending: None,
-            out,
-            completer: Some(completer),
-        };
-        self.bundle().sched.submit(Box::new(task));
-        Ok(fut)
+        let steps = barrier(self.rank() as usize, self.size());
+        self.start_sched(Plan::in_place(steps, 0), &[])
     }
 
     /// Blocking barrier (`MPI_Barrier`). With resilience enabled, a peer

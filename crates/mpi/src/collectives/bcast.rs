@@ -1,135 +1,51 @@
 //! Binomial-tree broadcast.
 //!
 //! Each non-root rank receives the payload from its tree parent, then
-//! forwards it down its subtree. Rank `r`'s peers are computed in
-//! root-relative space exactly as in MPICH's binomial bcast.
+//! forwards it to all of its children at once. Peers are computed in
+//! root-relative space, as in MPICH's binomial bcast: the parent of `rel`
+//! is `rel` with its lowest set bit cleared, its children are `rel + m`
+//! for every power of two `m` below that bit. A rank `d` hops from the
+//! root (`d` = the number of set bits of `rel`) is reached in round
+//! `d − 1` and forwards in round `d`.
 
-use mpfa_core::{AsyncPoll, Completer, Request, Status};
+use std::ops::Range;
 
 use crate::comm::Comm;
-use crate::datatype::{from_bytes, to_bytes, MpiType};
-use crate::error::{MpiError, MpiResult};
-use crate::matching::RecvSlot;
-use crate::sched::CollTask;
+use crate::datatype::MpiType;
+use crate::error::MpiResult;
+use crate::sched::{on_ranks, Plan, Step};
 
-use super::future::{CollFuture, CollOutput};
+use super::{ceil_log2, CollFuture};
 
-/// Tree peers in root-relative rank space: who we receive from (None for
-/// the root) and who we forward to (descending subtree spans).
-pub(crate) fn binomial_peers(relative: usize, size: usize) -> (Option<usize>, Vec<usize>) {
-    let mut mask = 1usize;
-    let mut recv_from = None;
-    while mask < size {
-        if relative & mask != 0 {
-            recv_from = Some(relative - mask);
-            break;
+/// Broadcast `range` from rank 0 of `0..n` down the binomial tree.
+pub(crate) fn bcast_tree(rel: usize, n: usize, range: Range<usize>) -> Vec<Step> {
+    let depth = rel.count_ones();
+    let span = if rel == 0 {
+        n
+    } else {
+        1 << rel.trailing_zeros()
+    };
+    let mut steps = Vec::new();
+    for round in 0..=ceil_log2(n) {
+        if round + 1 == depth {
+            steps.push(Step::recv(rel - span, range.clone()));
+        } else if round == depth {
+            let children = (0..ceil_log2(span)).rev().map(|j| rel + (1 << j));
+            steps.extend(
+                children
+                    .filter(|&c| c < n)
+                    .map(|c| Step::send(c, range.clone())),
+            );
         }
-        mask <<= 1;
+        steps.push(Step::Barrier);
     }
-    let mut dsts = Vec::new();
-    let mut m = mask >> 1;
-    while m > 0 {
-        if relative + m < size {
-            dsts.push(relative + m);
-        }
-        m >>= 1;
-    }
-    (recv_from, dsts)
+    steps
 }
 
-enum BcastState {
-    Init,
-    Receiving(Request, RecvSlot),
-    Sending(Vec<Request>),
-}
-
-struct BcastTask<T: MpiType> {
-    comm: Comm,
-    seq: u64,
-    root: i32,
-    capacity: usize,
-    data: Vec<u8>,
-    state: BcastState,
-    out: CollOutput<T>,
-    completer: Option<Completer>,
-}
-
-impl<T: MpiType> BcastTask<T> {
-    fn absolute(&self, relative: usize) -> i32 {
-        (relative as i32 + self.root) % self.comm.size() as i32
-    }
-
-    fn issue_sends(&mut self) -> Vec<Request> {
-        let size = self.comm.size();
-        let relative = (self.comm.rank() - self.root).rem_euclid(size as i32) as usize;
-        let (_, dsts) = binomial_peers(relative, size);
-        let tag = Comm::coll_tag(self.seq, 0);
-        dsts.into_iter()
-            .map(|rel| {
-                let dst = self.absolute(rel);
-                self.comm
-                    .isend_on_ctx(self.comm.coll_ctx(), self.data.clone(), dst, tag)
-            })
-            .collect()
-    }
-
-    fn finish(&mut self) -> AsyncPoll {
-        self.out
-            .deposit(from_bytes(&std::mem::take(&mut self.data)));
-        if let Some(c) = self.completer.take() {
-            c.complete(Status::empty());
-        }
-        AsyncPoll::Done
-    }
-}
-
-impl<T: MpiType> CollTask for BcastTask<T> {
-    fn advance(&mut self) -> AsyncPoll {
-        match &mut self.state {
-            BcastState::Init => {
-                let size = self.comm.size();
-                let relative = (self.comm.rank() - self.root).rem_euclid(size as i32) as usize;
-                let (recv_from, _) = binomial_peers(relative, size);
-                match recv_from {
-                    None => {
-                        // Root: forward immediately.
-                        let sends = self.issue_sends();
-                        if sends.is_empty() {
-                            return self.finish();
-                        }
-                        self.state = BcastState::Sending(sends);
-                    }
-                    Some(src_rel) => {
-                        let src = self.absolute(src_rel);
-                        let tag = Comm::coll_tag(self.seq, 0);
-                        let (req, slot) =
-                            self.comm
-                                .irecv_on_ctx(self.comm.coll_ctx(), self.capacity, src, tag);
-                        self.state = BcastState::Receiving(req, slot);
-                    }
-                }
-                AsyncPoll::Progress
-            }
-            BcastState::Receiving(req, slot) => {
-                if !req.is_complete() {
-                    return AsyncPoll::Pending;
-                }
-                self.data = slot.take();
-                let sends = self.issue_sends();
-                if sends.is_empty() {
-                    return self.finish();
-                }
-                self.state = BcastState::Sending(sends);
-                AsyncPoll::Progress
-            }
-            BcastState::Sending(reqs) => {
-                if !Request::all_complete(reqs) {
-                    return AsyncPoll::Pending;
-                }
-                self.finish()
-            }
-        }
-    }
+pub(crate) fn bcast(me: usize, size: usize, count: usize, root: usize) -> Plan {
+    let rel = (me + size - root) % size;
+    let steps = on_ranks(bcast_tree(rel, size, 0..count), |r| (r + root) % size);
+    Plan::in_place(steps, count)
 }
 
 impl Comm {
@@ -142,59 +58,16 @@ impl Comm {
         count: usize,
         root: i32,
     ) -> MpiResult<CollFuture<T>> {
-        if root < 0 || root as usize >= self.size() {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: self.size(),
-            });
-        }
-        let is_root = self.rank() == root;
-        let bytes = match (is_root, data) {
-            (true, Some(d)) => {
-                if d.len() != count {
-                    return Err(MpiError::CountMismatch {
-                        got: d.len(),
-                        expected: count,
-                    });
-                }
-                to_bytes(d)
-            }
-            (true, None) => {
-                return Err(MpiError::CountMismatch {
-                    got: 0,
-                    expected: count,
-                });
-            }
-            (false, _) => Vec::new(),
-        };
-
-        let seq = self.next_coll_seq();
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::<T>::pair(req);
-        let task = BcastTask {
-            comm: self.clone(),
-            seq,
-            root,
-            capacity: count * T::SIZE,
-            data: bytes,
-            state: BcastState::Init,
-            out,
-            completer: Some(completer),
-        };
-        self.bundle().sched.submit(Box::new(task));
-        Ok(fut)
+        let data = self.rooted_input(data, count, root)?;
+        let plan = bcast(self.rank() as usize, self.size(), count, root as usize);
+        self.start_sched(plan, data)
     }
 
     /// Blocking broadcast (`MPI_Bcast`): `buf` is input at the root and
     /// output everywhere.
     pub fn bcast<T: MpiType>(&self, buf: &mut Vec<T>, count: usize, root: i32) -> MpiResult<()> {
-        let fut = if self.rank() == root {
-            self.ibcast::<T>(Some(buf), count, root)?
-        } else {
-            self.ibcast::<T>(None, count, root)?
-        };
-        let (data, _) = fut.wait();
-        *buf = data;
+        let data = (self.rank() == root).then_some(buf.as_slice());
+        *buf = self.ibcast(data, count, root)?.wait_result()?.0;
         Ok(())
     }
 }
@@ -203,6 +76,21 @@ impl Comm {
 mod tests {
     use super::super::testutil::run_ranks;
     use super::*;
+
+    /// Tree peers in root-relative rank space, read off the step list: who
+    /// we receive from (None for the root) and who we forward to
+    /// (descending subtree spans).
+    fn binomial_peers(relative: usize, size: usize) -> (Option<usize>, Vec<usize>) {
+        let (mut recv_from, mut dsts) = (None, Vec::new());
+        for step in bcast_tree(relative, size, 0..1) {
+            match step {
+                Step::Recv { from, .. } => recv_from = Some(from),
+                Step::Send { to, .. } => dsts.push(to),
+                _ => {}
+            }
+        }
+        (recv_from, dsts)
+    }
 
     #[test]
     fn binomial_peers_shape() {

@@ -1,24 +1,36 @@
 //! Scatter-allgather broadcast (van de Geijn algorithm): the root
-//! scatters equal blocks, then a ring allgather assembles the full
+//! scatters balanced blocks, then a ring allgather assembles the full
 //! payload everywhere.
 //!
 //! Binomial bcast sends the FULL payload log₂P times from the root's
 //! subtree edges; scatter-allgather moves ~2·(P−1)/P of it per rank —
 //! bandwidth-optimal for large messages, at the cost of more rounds.
 //! [`Comm::ibcast_auto`] selects by size, like MPICH's tuned bcast.
-//!
-//! Composition note: the two phases are existing schedules (iscatter,
-//! iallgather) chained by an `MPIX_Async` task — the collective is
-//! *composed from the extension APIs*, demonstrating the §2.7 claim that
-//! collectives can be layered over a progressing core.
-
-use mpfa_core::{AsyncPoll, Request, Status};
 
 use crate::comm::Comm;
 use crate::datatype::MpiType;
-use crate::error::{MpiError, MpiResult};
+use crate::error::MpiResult;
+use crate::sched::{Plan, Step};
 
-use super::future::CollFuture;
+use super::allgather::ring_allgather;
+use super::{block_range, CollFuture};
+
+pub(crate) fn bcast_sag(me: usize, size: usize, count: usize, root: usize) -> Vec<Step> {
+    let block = |i: usize| block_range(count, size, i);
+    let mut steps = Vec::new();
+    if me == root {
+        steps.extend(
+            (0..size)
+                .filter(|&dst| dst != root)
+                .map(|dst| Step::send(dst, block(dst))),
+        );
+    } else {
+        steps.push(Step::recv(root, block(me)));
+    }
+    steps.push(Step::Barrier);
+    steps.extend(ring_allgather(me, size, 0, block));
+    steps
+}
 
 impl Comm {
     /// Payload size (bytes) above which [`Comm::ibcast_auto`] switches
@@ -26,72 +38,16 @@ impl Comm {
     pub const BCAST_SAG_THRESHOLD: usize = 64 * 1024;
 
     /// Nonblocking scatter-allgather broadcast (`MPI_Ibcast`,
-    /// large-message algorithm). Pads to equal blocks internally.
+    /// large-message algorithm), for any count.
     pub fn ibcast_sag<T: MpiType + Default>(
         &self,
         data: Option<&[T]>,
         count: usize,
         root: i32,
     ) -> MpiResult<CollFuture<T>> {
-        if root < 0 || root as usize >= self.size() {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: self.size(),
-            });
-        }
-        let size = self.size();
-        let block = count.div_ceil(size).max(1);
-        let padded = block * size;
-
-        // Phase 1: equal-block scatter of the padded payload.
-        let scatter_fut = if self.rank() == root {
-            let data = data.ok_or(MpiError::CountMismatch {
-                got: 0,
-                expected: count,
-            })?;
-            if data.len() != count {
-                return Err(MpiError::CountMismatch {
-                    got: data.len(),
-                    expected: count,
-                });
-            }
-            let mut buf = data.to_vec();
-            buf.resize(padded, T::default());
-            self.iscatter(Some(&buf), block, root)?
-        } else {
-            self.iscatter::<T>(None, block, root)?
-        };
-
-        // Phase 2 chained by an async task: allgather the blocks, then
-        // truncate the padding.
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::<T>::pair(req);
-        let comm = self.clone();
-        let mut scatter_fut = Some(scatter_fut);
-        let mut gather_fut: Option<CollFuture<T>> = None;
-        let mut completer = Some(completer);
-        self.stream().async_start(move |_t| {
-            if gather_fut.is_none() {
-                if !scatter_fut.as_ref().expect("phase 1 live").is_complete() {
-                    return AsyncPoll::Pending;
-                }
-                let my_block = scatter_fut.take().expect("present").take();
-                gather_fut = Some(
-                    comm.iallgather(&my_block)
-                        .expect("allgather cannot fail on valid comm"),
-                );
-                return AsyncPoll::Progress;
-            }
-            if !gather_fut.as_ref().expect("phase 2 live").is_complete() {
-                return AsyncPoll::Pending;
-            }
-            let mut full = gather_fut.take().expect("present").take();
-            full.truncate(count);
-            out.deposit(full);
-            completer.take().expect("once").complete(Status::empty());
-            AsyncPoll::Done
-        });
-        Ok(fut)
+        let data = self.rooted_input(data, count, root)?;
+        let steps = bcast_sag(self.rank() as usize, self.size(), count, root as usize);
+        self.start_sched(Plan::in_place(steps, count), data)
     }
 
     /// Nonblocking broadcast with size-based algorithm selection:

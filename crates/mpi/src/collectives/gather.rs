@@ -1,75 +1,37 @@
 //! Linear gather.
 //!
 //! Non-roots send their block to the root; the root receives P−1 blocks
-//! (its own is a local copy) and delivers the rank-ordered concatenation.
-
-use mpfa_core::{AsyncPoll, Completer, Request, Status};
+//! (its own is already in place) and delivers the rank-ordered
+//! concatenation. Counts may differ per rank (`MPI_Gatherv`).
 
 use crate::comm::Comm;
-use crate::datatype::{from_bytes, to_bytes, MpiType};
-use crate::error::{MpiError, MpiResult};
-use crate::matching::RecvSlot;
-use crate::sched::CollTask;
+use crate::datatype::MpiType;
+use crate::error::MpiResult;
+use crate::sched::{Plan, Step};
 
-use super::future::{CollFuture, CollOutput};
+use super::{offsets, CollFuture};
 
-enum GatherState {
-    /// Root: waiting on all receives (index = source rank; None at root's
-    /// own slot).
-    RootWait(Vec<Option<(Request, RecvSlot)>>),
-    /// Non-root: waiting on the send.
-    LeafWait(Request),
-}
-
-struct GatherTask<T: MpiType> {
-    root: i32,
-    own: Vec<T>,
-    state: GatherState,
-    out: CollOutput<T>,
-    completer: Option<Completer>,
-}
-
-impl<T: MpiType> GatherTask<T> {
-    fn finish(&mut self, result: Vec<T>) -> AsyncPoll {
-        self.out.deposit(result);
-        if let Some(c) = self.completer.take() {
-            c.complete(Status::empty());
-        }
-        AsyncPoll::Done
+pub(crate) fn gather(me: usize, counts: &[usize], root: usize) -> Plan {
+    if me != root {
+        return Plan {
+            steps: vec![Step::send(root, 0..counts[me]), Step::Barrier],
+            len: counts[me],
+            at: 0,
+            out: 0..0,
+        };
     }
-}
-
-impl<T: MpiType> CollTask for GatherTask<T> {
-    fn advance(&mut self) -> AsyncPoll {
-        match &mut self.state {
-            GatherState::RootWait(recvs) => {
-                let all_done = recvs
-                    .iter()
-                    .all(|r| r.as_ref().map(|(req, _)| req.is_complete()).unwrap_or(true));
-                if !all_done {
-                    return AsyncPoll::Pending;
-                }
-                let root = self.root as usize;
-                let mut result = Vec::with_capacity(self.own.len() * recvs.len());
-                let recvs = std::mem::take(recvs);
-                for (src, entry) in recvs.into_iter().enumerate() {
-                    match entry {
-                        Some((_, slot)) => result.extend(from_bytes::<T>(&slot.take())),
-                        None => {
-                            debug_assert_eq!(src, root);
-                            result.extend(std::mem::take(&mut self.own));
-                        }
-                    }
-                }
-                self.finish(result)
-            }
-            GatherState::LeafWait(req) => {
-                if !req.is_complete() {
-                    return AsyncPoll::Pending;
-                }
-                self.finish(Vec::new())
-            }
-        }
+    let offs = offsets(counts);
+    let mut steps: Vec<Step> = (0..counts.len())
+        .filter(|&src| src != root)
+        .map(|src| Step::recv(src, offs[src]..offs[src + 1]))
+        .collect();
+    steps.push(Step::Barrier);
+    let total = offs[counts.len()];
+    Plan {
+        steps,
+        len: total,
+        at: offs[root],
+        out: 0..total,
     }
 }
 
@@ -77,53 +39,14 @@ impl Comm {
     /// Nonblocking gather (`MPI_Igather`) of equal-length blocks to
     /// `root`. The root's future yields the rank-ordered concatenation.
     pub fn igather<T: MpiType>(&self, data: &[T], root: i32) -> MpiResult<CollFuture<T>> {
-        if root < 0 || root as usize >= self.size() {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: self.size(),
-            });
-        }
-        let seq = self.next_coll_seq();
-        let tag = Comm::coll_tag(seq, 0);
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::<T>::pair(req);
-
-        let state = if self.rank() == root {
-            let recvs = (0..self.size() as i32)
-                .map(|src| {
-                    if src == root {
-                        None
-                    } else {
-                        Some(self.irecv_on_ctx(self.coll_ctx(), data.len() * T::SIZE, src, tag))
-                    }
-                })
-                .collect();
-            GatherState::RootWait(recvs)
-        } else {
-            let sreq = self.isend_on_ctx(self.coll_ctx(), to_bytes(data), root, tag);
-            GatherState::LeafWait(sreq)
-        };
-
-        let task = GatherTask {
-            root,
-            own: data.to_vec(),
-            state,
-            out,
-            completer: Some(completer),
-        };
-        self.bundle().sched.submit(Box::new(task));
-        Ok(fut)
+        self.igatherv(data, &vec![data.len(); self.size()], root)
     }
 
     /// Blocking gather (`MPI_Gather`). Returns `Some(concatenation)` at
     /// the root, `None` elsewhere.
     pub fn gather<T: MpiType>(&self, data: &[T], root: i32) -> MpiResult<Option<Vec<T>>> {
-        let (result, _) = self.igather(data, root)?.wait();
-        Ok(if self.rank() == root {
-            Some(result)
-        } else {
-            None
-        })
+        let (result, _) = self.igather(data, root)?.wait_result()?;
+        Ok((self.rank() == root).then_some(result))
     }
 }
 

@@ -2,46 +2,43 @@
 //! fast substrate plus an inter-node leg among one leader per node.
 //!
 //! At 64–256 ranks a flat collective treats every pair of ranks as
-//! equidistant; a box (or rack) is not like that. [`Comm::hier_split`]
-//! carves the communicator into *nodes* of `node_size` consecutive
-//! ranks — `MPFA_NODE_SIZE` for launcher-provided topology — and
-//! returns a [`HierComm`] whose collectives compose the existing
-//! schedules into the classic three-stage shape:
+//! equidistant; a box (or rack) is not like that. These are the flat
+//! step lists of [`super`] run on sub-groups of the *same* communicator —
+//! a node is `node_size` consecutive ranks, its first rank the leader —
+//! with peers translated back by [`on_ranks`], so hierarchy is one more
+//! schedule, not a second kind of communicator:
 //!
 //! * **allreduce** — intra-node binomial reduce to the node leader,
-//!   leader-level allreduce (recursive doubling, or ring
-//!   reduce-scatter + allgather for bandwidth-bound payloads via
-//!   `iallreduce_auto`), intra-node binomial bcast back out.
-//! * **bcast** — root hands the payload to its node leader, binomial
-//!   bcast among leaders, binomial bcast inside every node.
-//! * **barrier** — node barrier, leader barrier, node barrier (the
-//!   second node pass is the release: nobody leaves before every node
-//!   has arrived).
+//!   leader-level allreduce (recursive doubling, or ring for
+//!   bandwidth-bound payloads, by [`Comm::ALLREDUCE_RING_THRESHOLD`]),
+//!   intra-node binomial bcast back out.
+//! * **bcast** — binomial bcast among leaders, then inside every node;
+//!   the root stands in as the leader of its own node.
+//! * **barrier** — the allreduce of nothing: nobody's release can be sent
+//!   before every node's arrival has reached the leaders.
 //!
 //! Only `n_nodes` ranks ever talk across node boundaries, so the
 //! inter-node leg shrinks from `size` to `size / node_size`
 //! participants while the intra-node legs run over whatever fast path
 //! the transport gives co-located ranks (shared-memory rings under
 //! `MPFA_TRANSPORT=shm`, loopback frames otherwise).
-//!
-//! The sub-communicators are built once (two collective `split`s) and
-//! cached in the `HierComm`, so per-operation cost is the stages
-//! themselves — no per-call communicator churn.
 
 use crate::comm::Comm;
-use crate::error::{MpiError, MpiResult};
+use crate::error::MpiResult;
 use crate::op::{Op, Reducible};
+use crate::sched::{on_ranks, Plan, Step};
 use crate::MpiType;
+
+use super::allreduce::allreduce_rd;
+use super::bcast::bcast_tree;
+use super::reduce::reduce_tree;
+use super::ring_allreduce::allreduce_ring;
+use super::{ceil_log2, CollFuture};
 
 /// Env var declaring how many consecutive ranks share a node (the
 /// launcher's topology hint). Unset or `0` means "derive": the whole
 /// world is one node for worlds up to 8 ranks, else nodes of 8.
 pub const ENV_NODE_SIZE: &str = "MPFA_NODE_SIZE";
-
-/// Tag for the root→leader hop of a hierarchical bcast. Runs on the
-/// parent communicator's user context, so the tag is reserved by
-/// convention (collectives themselves use the collective context).
-const HIER_BCAST_TAG: i32 = 0x7f7f_0001;
 
 /// Node size from the environment, falling back to a derived default.
 pub fn node_size_from_env(world: usize) -> usize {
@@ -60,139 +57,119 @@ pub fn node_size_from_env(world: usize) -> usize {
     }
 }
 
-/// A communicator split into an intra-node leg and an inter-node
-/// (leader) leg. Built by [`Comm::hier_split`]; reusable for any
-/// number of operations.
-pub struct HierComm {
-    parent: Comm,
-    /// All ranks on my node; node rank 0 is the leader.
-    node: Comm,
-    /// One leader per node, ordered by node id. `None` on non-leaders.
-    leaders: Option<Comm>,
-    node_size: usize,
+/// The leaders' rounds as a non-leader sees them: nothing to do, but the
+/// same number of rounds, so the rounds after them keep their tags.
+fn sit_out(lead: Vec<Step>, leader: bool) -> Vec<Step> {
+    lead.into_iter()
+        .filter(|s| leader || *s == Step::Barrier)
+        .collect()
+}
+
+pub(crate) fn hier_allreduce(
+    me: usize,
+    size: usize,
+    node: usize,
+    n: usize,
+    ring: bool,
+) -> Vec<Step> {
+    let (nid, local, nodes) = (me / node, me % node, size.div_ceil(node));
+    let members = node.min(size - nid * node);
+    let in_node = |l: usize| nid * node + l;
+
+    let mut steps = on_ranks(reduce_tree(local, members, 0..n), in_node);
+    // A short last node has a shallower tree; it idles so that the
+    // leaders' rounds start at the same index on every node.
+    let idle = ceil_log2(node.min(size)) - ceil_log2(members);
+    steps.extend(std::iter::repeat_n(Step::Barrier, idle as usize));
+    let lead = if ring {
+        allreduce_ring(nid, nodes, n)
+    } else {
+        allreduce_rd(nid, nodes, n)
+    };
+    steps.extend(sit_out(on_ranks(lead, |k| k * node), local == 0));
+    steps.extend(on_ranks(bcast_tree(local, members, 0..n), in_node));
+    steps
+}
+
+pub(crate) fn hier_bcast(
+    me: usize,
+    size: usize,
+    node: usize,
+    count: usize,
+    root: usize,
+) -> Vec<Step> {
+    let (nid, nodes, root_node) = (me / node, size.div_ceil(node), root / node);
+    let members = node.min(size - nid * node);
+    let leader = |k: usize| if k == root_node { root } else { k * node };
+    // Both legs are rooted trees, run in root-relative order: nodes
+    // counted from the root's node, a node's ranks from its leader.
+    let first = leader(nid) - nid * node;
+    let in_node = |rel: usize| nid * node + (rel + first) % members;
+    let rel_node = (nid + nodes - root_node) % nodes;
+    let rel_local = (me - nid * node + members - first) % members;
+
+    let lead = bcast_tree(rel_node, nodes, 0..count);
+    let mut steps = sit_out(
+        on_ranks(lead, |rel| leader((rel + root_node) % nodes)),
+        me == leader(nid),
+    );
+    steps.extend(on_ranks(bcast_tree(rel_local, members, 0..count), in_node));
+    steps
 }
 
 impl Comm {
-    /// Split this communicator into nodes of `node_size` consecutive
-    /// ranks and return the hierarchical view. Collective over the
-    /// communicator (two `split`s); every rank must pass the same
-    /// `node_size`.
-    pub fn hier_split(&self, node_size: usize) -> MpiResult<HierComm> {
-        if node_size == 0 {
-            return Err(MpiError::Protocol("hier_split: node_size 0".into()));
-        }
-        let me = self.rank() as usize;
-        let node_id = (me / node_size) as i32;
-        let node = self
-            .split(node_id, 0)?
-            .expect("non-negative color yields a comm");
-        let is_leader = node.rank() == 0;
-        // Leaders keep node order, so the leader of node k sits at
-        // leader-rank k — bcast root translation is then just an index.
-        let leaders = self.split(if is_leader { 0 } else { -1 }, node_id)?;
-        Ok(HierComm {
-            parent: self.clone(),
-            node,
-            leaders,
-            node_size,
-        })
-    }
-
-    /// [`Comm::hier_split`] with the node size from `MPFA_NODE_SIZE`
-    /// (or a derived default). Collective over the communicator.
-    pub fn hier_split_env(&self) -> MpiResult<HierComm> {
-        let n = node_size_from_env(self.size());
-        self.hier_split(n)
-    }
-}
-
-impl HierComm {
-    /// The parent communicator this hierarchy was carved from.
-    pub fn parent(&self) -> &Comm {
-        &self.parent
-    }
-
-    /// The intra-node communicator (node rank 0 is the leader).
-    pub fn node(&self) -> &Comm {
-        &self.node
-    }
-
-    /// The inter-node leader communicator (`None` on non-leaders).
-    pub fn leaders(&self) -> Option<&Comm> {
-        self.leaders.as_ref()
-    }
-
-    /// Ranks per node this hierarchy was built with.
-    pub fn node_size(&self) -> usize {
-        self.node_size
-    }
-
-    /// Number of nodes in the hierarchy.
-    pub fn nodes(&self) -> usize {
-        self.parent.size().div_ceil(self.node_size)
-    }
-
-    /// Hierarchical allreduce: intra-node reduce → leader allreduce →
+    /// Hierarchical allreduce over nodes of [`node_size_from_env`]
+    /// consecutive ranks: intra-node reduce → leader allreduce →
     /// intra-node bcast. Same result on every rank as the flat
     /// algorithm, with only one rank per node on the inter-node leg.
-    pub fn allreduce<T: Reducible>(&self, data: &[T], op: Op) -> MpiResult<Vec<T>> {
-        // Stage 1: binomial reduce onto the node leader.
-        let partial = self.node.reduce(data, op, 0)?;
-        // Stage 2: leaders combine across nodes (ring for big payloads).
-        let mut full = match (&self.leaders, partial) {
-            (Some(leaders), Some(partial)) => {
-                Some(leaders.iallreduce_auto(&partial, op)?.wait_result()?.0)
-            }
-            _ => None,
-        };
-        // Stage 3: binomial bcast from the leader back over the node.
-        let mut buf = full.take().unwrap_or_default();
-        self.node.bcast(&mut buf, data.len(), 0)?;
-        Ok(buf)
+    pub fn iallreduce_hier<T: Reducible>(&self, data: &[T], op: Op) -> MpiResult<CollFuture<T>> {
+        self.allreduce_on_nodes(data, op, node_size_from_env(self.size()))
     }
 
-    /// Hierarchical bcast from parent-rank `root`: root→leader hop,
-    /// leader-level binomial bcast, intra-node binomial bcast.
-    pub fn bcast<T: MpiType>(&self, buf: &mut Vec<T>, count: usize, root: i32) -> MpiResult<()> {
-        let size = self.parent.size();
-        if root < 0 || root as usize >= size {
-            return Err(MpiError::Protocol(format!("hier bcast: bad root {root}")));
-        }
-        let me = self.parent.rank() as usize;
-        let root_node = root as usize / self.node_size;
-        let root_leader = root_node * self.node_size; // parent rank of root's node leader
-
-        // Hop 0: the payload reaches root's node leader. (Skipped when
-        // the root already is its node's leader.)
-        if root as usize != root_leader {
-            if me == root as usize {
-                self.parent
-                    .send(&buf[..count], root_leader as i32, HIER_BCAST_TAG)?;
-            } else if me == root_leader {
-                let (data, _) = self.parent.irecv::<T>(count, root, HIER_BCAST_TAG)?.wait();
-                *buf = data;
-            }
-        }
-
-        // Hop 1: leaders fan the payload across nodes. Leader order is
-        // node order, so the leaders-rank of root's node is root_node.
-        if let Some(leaders) = &self.leaders {
-            leaders.bcast(buf, count, root_node as i32)?;
-        }
-
-        // Hop 2: every leader fans out inside its node.
-        self.node.bcast(buf, count, 0)
+    fn allreduce_on_nodes<T: Reducible>(
+        &self,
+        data: &[T],
+        op: Op,
+        node: usize,
+    ) -> MpiResult<CollFuture<T>> {
+        let (size, n) = (self.size(), data.len());
+        let ring = n * T::SIZE >= Self::ALLREDUCE_RING_THRESHOLD && size.div_ceil(node) > 2;
+        let steps = hier_allreduce(self.rank() as usize, size, node, n, ring);
+        self.start_reduce_sched(Plan::in_place(steps, n), data, op)
     }
 
-    /// Hierarchical barrier: node barrier (everyone on the node has
-    /// arrived), leader barrier (every node has arrived), node barrier
-    /// (release — nobody leaves early).
-    pub fn barrier(&self) -> MpiResult<()> {
-        self.node.barrier()?;
-        if let Some(leaders) = &self.leaders {
-            leaders.barrier()?;
-        }
-        self.node.barrier()
+    /// Hierarchical bcast of `count` elements from `root`: binomial bcast
+    /// among node leaders, then inside every node.
+    pub fn ibcast_hier<T: MpiType>(
+        &self,
+        data: Option<&[T]>,
+        count: usize,
+        root: i32,
+    ) -> MpiResult<CollFuture<T>> {
+        self.bcast_on_nodes(data, count, root, node_size_from_env(self.size()))
+    }
+
+    fn bcast_on_nodes<T: MpiType>(
+        &self,
+        data: Option<&[T]>,
+        count: usize,
+        root: i32,
+        node: usize,
+    ) -> MpiResult<CollFuture<T>> {
+        let data = self.rooted_input(data, count, root)?;
+        let steps = hier_bcast(
+            self.rank() as usize,
+            self.size(),
+            node,
+            count,
+            root as usize,
+        );
+        self.start_sched(Plan::in_place(steps, count), data)
+    }
+
+    /// Hierarchical barrier: node arrival, leader exchange, node release.
+    pub fn ibarrier_hier(&self) -> MpiResult<CollFuture<u8>> {
+        self.iallreduce_hier(&[], Op::Sum)
     }
 }
 
@@ -216,9 +193,9 @@ mod tests {
         for (ranks, node_size) in [(8, 4), (8, 3), (6, 2), (8, 1), (4, 8)] {
             let results = run_ranks(ranks, move |proc| {
                 let comm = proc.world_comm();
-                let hier = comm.hier_split(node_size).unwrap();
                 let mine: Vec<i64> = (0..5).map(|i| (proc.rank() as i64 + 1) * (i + 1)).collect();
-                let got = hier.allreduce(&mine, Op::Sum).unwrap();
+                let hier = comm.allreduce_on_nodes(&mine, Op::Sum, node_size).unwrap();
+                let got = hier.wait_result().unwrap().0;
                 let flat = comm.allreduce(&mine, Op::Sum).unwrap();
                 assert_eq!(got, flat, "ranks={ranks} node={node_size}");
                 got[0]
@@ -229,20 +206,32 @@ mod tests {
     }
 
     #[test]
+    fn hier_allreduce_rings_large_payloads_among_leaders() {
+        let results = run_ranks(7, |proc| {
+            let comm = proc.world_comm();
+            let mine: Vec<i64> = (0..5000).map(|i| i + proc.rank() as i64).collect();
+            let hier = comm.allreduce_on_nodes(&mine, Op::Sum, 2).unwrap();
+            hier.wait_result().unwrap().0
+        });
+        for out in results {
+            for (i, v) in out.iter().enumerate() {
+                assert_eq!(*v, 7 * i as i64 + 21);
+            }
+        }
+    }
+
+    #[test]
     fn hier_bcast_from_every_root() {
         let ranks = 8;
         let results = run_ranks(ranks, |proc| {
             let comm = proc.world_comm();
-            let hier = comm.hier_split(3).unwrap();
             let mut out = Vec::new();
             for root in 0..ranks as i32 {
-                let mut buf = if comm.rank() == root {
-                    vec![root as i64 * 100 + 7; 6]
-                } else {
-                    Vec::new()
-                };
-                hier.bcast(&mut buf, 6, root).unwrap();
-                assert_eq!(buf, vec![root as i64 * 100 + 7; 6]);
+                let payload = vec![root as i64 * 100 + 7; 6];
+                let data = (comm.rank() == root).then_some(payload.as_slice());
+                let fut = comm.bcast_on_nodes(data, 6, root, 3).unwrap();
+                let buf = fut.wait_result().unwrap().0;
+                assert_eq!(buf, payload);
                 out.push(buf[0]);
             }
             out
@@ -263,18 +252,11 @@ mod tests {
         let ranks = 6;
         run_ranks(ranks, move |proc| {
             let comm = proc.world_comm();
-            let hier = comm.hier_split(2).unwrap();
             arrived.fetch_add(1, Ordering::SeqCst);
-            hier.barrier().unwrap();
+            let barrier = comm.allreduce_on_nodes::<u8>(&[], Op::Sum, 2).unwrap();
+            barrier.wait_result().unwrap();
             // After the barrier, every rank must have arrived.
             assert_eq!(arrived.load(Ordering::SeqCst), ranks);
-        });
-    }
-
-    #[test]
-    fn hier_split_rejects_zero_node_size() {
-        run_ranks(2, |proc| {
-            assert!(proc.world_comm().hier_split(0).is_err());
         });
     }
 }

@@ -5,125 +5,39 @@
 //! folding each into its accumulator, then sends the accumulator to parent
 //! `r - 2^k`. The root ends with the full reduction.
 
-use mpfa_core::{AsyncPoll, Completer, Request, Status};
+use std::ops::Range;
 
 use crate::comm::Comm;
-use crate::datatype::{from_bytes, to_bytes};
-use crate::error::{MpiError, MpiResult};
-use crate::matching::RecvSlot;
+use crate::error::MpiResult;
 use crate::op::{Op, Reducible};
-use crate::sched::CollTask;
+use crate::sched::{on_ranks, Plan, Step};
 
-use super::future::{CollFuture, CollOutput};
+use super::{ceil_log2, CollFuture};
 
-enum ReduceState {
-    /// Working through mask rounds; `mask` is the next round's distance.
-    Round { mask: usize },
-    /// Waiting for a child's partial result.
-    Receiving {
-        mask: usize,
-        req: Request,
-        slot: RecvSlot,
-    },
-    /// Waiting for our send to the parent.
-    SendingUp(Request),
+/// Reduce `range` onto rank 0 of `0..n` up the binomial tree.
+pub(crate) fn reduce_tree(rel: usize, n: usize, range: Range<usize>) -> Vec<Step> {
+    let mut steps = Vec::new();
+    for k in 0..ceil_log2(n) {
+        let m = 1usize << k;
+        if rel % (2 * m) == m {
+            steps.push(Step::send(rel - m, range.clone()));
+        } else if rel.is_multiple_of(2 * m) && rel + m < n {
+            steps.push(Step::recv_reduce(rel + m, range.clone()));
+        }
+        steps.push(Step::Barrier);
+    }
+    steps
 }
 
-struct ReduceTask<T: Reducible> {
-    comm: Comm,
-    seq: u64,
-    root: i32,
-    acc: Vec<T>,
-    state: ReduceState,
-    op: Op,
-    out: CollOutput<T>,
-    completer: Option<Completer>,
-}
-
-impl<T: Reducible> ReduceTask<T> {
-    fn relative(&self) -> usize {
-        (self.comm.rank() - self.root).rem_euclid(self.comm.size() as i32) as usize
-    }
-
-    fn absolute(&self, relative: usize) -> i32 {
-        (relative as i32 + self.root) % self.comm.size() as i32
-    }
-
-    fn finish(&mut self, deliver: bool) -> AsyncPoll {
-        if deliver {
-            self.out.deposit(std::mem::take(&mut self.acc));
-        } else {
-            self.out.deposit(Vec::new());
-        }
-        if let Some(c) = self.completer.take() {
-            c.complete(Status::empty());
-        }
-        AsyncPoll::Done
-    }
-}
-
-impl<T: Reducible> CollTask for ReduceTask<T> {
-    fn advance(&mut self) -> AsyncPoll {
-        let size = self.comm.size();
-        let relative = self.relative();
-        loop {
-            match &mut self.state {
-                ReduceState::Round { mask } => {
-                    let m = *mask;
-                    if m >= size {
-                        // All rounds done without sending up: we are root.
-                        debug_assert_eq!(relative, 0);
-                        return self.finish(true);
-                    }
-                    let tag = Comm::coll_tag(self.seq, m.trailing_zeros());
-                    if relative & m != 0 {
-                        // Send accumulator to parent and finish.
-                        let parent = self.absolute(relative - m);
-                        let req = self.comm.isend_on_ctx(
-                            self.comm.coll_ctx(),
-                            to_bytes(&self.acc),
-                            parent,
-                            tag,
-                        );
-                        self.state = ReduceState::SendingUp(req);
-                        return AsyncPoll::Progress;
-                    } else if relative + m < size {
-                        // Receive a child's partial result.
-                        let child = self.absolute(relative + m);
-                        let (req, slot) = self.comm.irecv_on_ctx(
-                            self.comm.coll_ctx(),
-                            self.acc.len() * T::SIZE,
-                            child,
-                            tag,
-                        );
-                        self.state = ReduceState::Receiving { mask: m, req, slot };
-                        return AsyncPoll::Progress;
-                    } else {
-                        // No child at this distance; next round.
-                        self.state = ReduceState::Round { mask: m << 1 };
-                        continue;
-                    }
-                }
-                ReduceState::Receiving { mask, req, slot } => {
-                    if !req.is_complete() {
-                        return AsyncPoll::Pending;
-                    }
-                    let contribution: Vec<T> = from_bytes(&slot.take());
-                    let m = *mask;
-                    self.op
-                        .apply(&mut self.acc, &contribution)
-                        .expect("op validated at initiation");
-                    self.state = ReduceState::Round { mask: m << 1 };
-                    continue;
-                }
-                ReduceState::SendingUp(req) => {
-                    if !req.is_complete() {
-                        return AsyncPoll::Pending;
-                    }
-                    return self.finish(false);
-                }
-            }
-        }
+pub(crate) fn reduce(me: usize, size: usize, n: usize, root: usize) -> Plan {
+    let rel = (me + size - root) % size;
+    let steps = on_ranks(reduce_tree(rel, size, 0..n), |r| (r + root) % size);
+    let out = if me == root { 0..n } else { 0..0 };
+    Plan {
+        steps,
+        len: n,
+        at: 0,
+        out,
     }
 }
 
@@ -132,41 +46,16 @@ impl Comm {
     /// The root's future yields the reduction; other ranks get an empty
     /// vector.
     pub fn ireduce<T: Reducible>(&self, data: &[T], op: Op, root: i32) -> MpiResult<CollFuture<T>> {
-        if root < 0 || root as usize >= self.size() {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: self.size(),
-            });
-        }
-        // Validate op/type compatibility up front (e.g. Band on floats).
-        op.apply::<T>(&mut [], &[])?;
-
-        let seq = self.next_coll_seq();
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::<T>::pair(req);
-        let task = ReduceTask {
-            comm: self.clone(),
-            seq,
-            root,
-            acc: data.to_vec(),
-            state: ReduceState::Round { mask: 1 },
-            op,
-            out,
-            completer: Some(completer),
-        };
-        self.bundle().sched.submit(Box::new(task));
-        Ok(fut)
+        self.check_rank(root)?;
+        let plan = reduce(self.rank() as usize, self.size(), data.len(), root as usize);
+        self.start_reduce_sched(plan, data, op)
     }
 
     /// Blocking reduce (`MPI_Reduce`). Returns `Some(result)` at the root,
     /// `None` elsewhere.
     pub fn reduce<T: Reducible>(&self, data: &[T], op: Op, root: i32) -> MpiResult<Option<Vec<T>>> {
-        let (result, _) = self.ireduce(data, op, root)?.wait();
-        Ok(if self.rank() == root {
-            Some(result)
-        } else {
-            None
-        })
+        let (result, _) = self.ireduce(data, op, root)?.wait_result()?;
+        Ok((self.rank() == root).then_some(result))
     }
 }
 

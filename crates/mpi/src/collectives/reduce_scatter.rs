@@ -7,64 +7,26 @@
 //! alltoall-shaped variant, simple and contention-free on the simulated
 //! fabric.
 
-use mpfa_core::{AsyncPoll, Completer, Request, Status};
-
 use crate::comm::Comm;
-use crate::datatype::{from_bytes, to_bytes};
-use crate::error::{MpiError, MpiResult};
-use crate::matching::RecvSlot;
+use crate::error::MpiResult;
 use crate::op::{Op, Reducible};
-use crate::sched::CollTask;
+use crate::sched::{Plan, Step};
 
-use super::future::{CollFuture, CollOutput};
+use super::{count_is, CollFuture};
 
-struct ReduceScatterTask<T: Reducible> {
-    op: Op,
-    /// Own contribution to our block.
-    acc: Vec<T>,
-    sends: Vec<Request>,
-    recvs: Vec<Option<(Request, RecvSlot)>>,
-    /// Which contributions have been folded already.
-    folded: Vec<bool>,
-    out: CollOutput<T>,
-    completer: Option<Completer>,
-}
-
-impl<T: Reducible> CollTask for ReduceScatterTask<T> {
-    fn advance(&mut self) -> AsyncPoll {
-        let mut any = false;
-        // Fold contributions as they arrive (no barrier on the full set).
-        for src in 0..self.recvs.len() {
-            if self.folded[src] {
-                continue;
-            }
-            let Some((req, slot)) = &self.recvs[src] else {
-                self.folded[src] = true;
-                continue;
-            };
-            if req.is_complete() {
-                let contribution: Vec<T> = from_bytes(&slot.take());
-                self.op
-                    .apply(&mut self.acc, &contribution)
-                    .expect("validated at initiation");
-                self.folded[src] = true;
-                self.recvs[src] = None;
-                any = true;
-            }
-        }
-        let all_folded = self.folded.iter().all(|&f| f);
-        if all_folded && Request::all_complete(&self.sends) {
-            self.out.deposit(std::mem::take(&mut self.acc));
-            if let Some(c) = self.completer.take() {
-                c.complete(Status::empty());
-            }
-            return AsyncPoll::Done;
-        }
-        if any {
-            AsyncPoll::Progress
-        } else {
-            AsyncPoll::Pending
-        }
+pub(crate) fn reduce_scatter_block(me: usize, size: usize, count: usize) -> Plan {
+    let block = |i: usize| i * count..(i + 1) * count;
+    let peers = || (0..size).filter(move |&p| p != me);
+    let mut steps: Vec<Step> = peers()
+        .map(|src| Step::recv_reduce(src, block(me)))
+        .collect();
+    steps.extend(peers().map(|dst| Step::send(dst, block(dst))));
+    steps.push(Step::Barrier);
+    Plan {
+        steps,
+        len: size * count,
+        at: 0,
+        out: block(me),
     }
 }
 
@@ -79,47 +41,9 @@ impl Comm {
         count: usize,
         op: Op,
     ) -> MpiResult<CollFuture<T>> {
-        op.apply::<T>(&mut [], &[])?;
-        let size = self.size();
-        if data.len() != count * size {
-            return Err(MpiError::CountMismatch {
-                got: data.len(),
-                expected: count * size,
-            });
-        }
-        let rank = self.rank() as usize;
-        let seq = self.next_coll_seq();
-        let tag = Comm::coll_tag(seq, 0);
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::<T>::pair(req);
-
-        let recvs: Vec<Option<(Request, RecvSlot)>> = (0..size as i32)
-            .map(|src| {
-                (src as usize != rank)
-                    .then(|| self.irecv_on_ctx(self.coll_ctx(), count * T::SIZE, src, tag))
-            })
-            .collect();
-        let mut sends = Vec::with_capacity(size.saturating_sub(1));
-        for dst in 0..size {
-            if dst == rank {
-                continue;
-            }
-            let block = &data[dst * count..(dst + 1) * count];
-            sends.push(self.isend_on_ctx(self.coll_ctx(), to_bytes(block), dst as i32, tag));
-        }
-
-        let task = ReduceScatterTask {
-            op,
-
-            acc: data[rank * count..(rank + 1) * count].to_vec(),
-            sends,
-            recvs,
-            folded: vec![false; size],
-            out,
-            completer: Some(completer),
-        };
-        self.bundle().sched.submit(Box::new(task));
-        Ok(fut)
+        count_is(data.len(), count * self.size())?;
+        let plan = reduce_scatter_block(self.rank() as usize, self.size(), count);
+        self.start_reduce_sched(plan, data, op)
     }
 
     /// Blocking equal-block reduce-scatter (`MPI_Reduce_scatter_block`).
@@ -129,7 +53,10 @@ impl Comm {
         count: usize,
         op: Op,
     ) -> MpiResult<Vec<T>> {
-        Ok(self.ireduce_scatter_block(data, count, op)?.wait().0)
+        Ok(self
+            .ireduce_scatter_block(data, count, op)?
+            .wait_result()?
+            .0)
     }
 }
 

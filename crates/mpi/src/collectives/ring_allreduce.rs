@@ -11,194 +11,37 @@
 //!
 //! Phase 2 (allgather), P−1 steps: circulate the reduced blocks.
 
-use mpfa_core::{AsyncPoll, Completer, Request, Status};
-
 use crate::comm::Comm;
-use crate::datatype::{from_bytes, to_bytes};
 use crate::error::MpiResult;
-use crate::matching::RecvSlot;
 use crate::op::{Op, Reducible};
-use crate::sched::CollTask;
+use crate::sched::{Plan, Step};
 
-use super::future::{CollFuture, CollOutput};
+use super::allgather::ring_allgather;
+use super::{block_range, CollFuture};
 
-/// Block `i`'s element range for `count` elements over `size` ranks
-/// (balanced partition; works for any count, including count < size).
-fn block_range(count: usize, size: usize, i: usize) -> std::ops::Range<usize> {
-    let lo = i * count / size;
-    let hi = (i + 1) * count / size;
-    lo..hi
-}
-
-enum RingState {
-    ReduceScatter {
-        step: usize,
-    },
-    Allgather {
-        step: usize,
-    },
-    Wait {
-        next: Box<RingState>,
-        reducing: bool,
-        recv_block: usize,
-        send: Request,
-        recv: Request,
-        slot: RecvSlot,
-    },
-}
-
-struct RingAllreduceTask<T: Reducible> {
-    comm: Comm,
-    seq: u64,
-    op: Op,
-    data: Vec<T>,
-    state: RingState,
-    out: CollOutput<T>,
-    completer: Option<Completer>,
-}
-
-impl<T: Reducible> RingAllreduceTask<T> {
-    fn finish(&mut self) -> AsyncPoll {
-        self.out.deposit(std::mem::take(&mut self.data));
-        if let Some(c) = self.completer.take() {
-            c.complete(Status::empty());
-        }
-        AsyncPoll::Done
+pub(crate) fn allreduce_ring(me: usize, size: usize, n: usize) -> Vec<Step> {
+    let block = |i: usize| block_range(n, size, i);
+    let (right, left) = ((me + 1) % size, (me + size - 1) % size);
+    let mut steps = Vec::new();
+    for s in 0..size - 1 {
+        steps.push(Step::send(right, block((me + size - s) % size)));
+        steps.push(Step::recv_reduce(left, block((me + size - s - 1) % size)));
+        steps.push(Step::Barrier);
     }
-
-    /// Issue one ring step: send `send_block`, receive `recv_block`.
-    fn issue(
-        &mut self,
-        round: u32,
-        send_block: usize,
-        recv_block: usize,
-        reducing: bool,
-        next: RingState,
-    ) -> AsyncPoll {
-        let size = self.comm.size() as i32;
-        let right = (self.comm.rank() + 1).rem_euclid(size);
-        let left = (self.comm.rank() - 1).rem_euclid(size);
-        let tag = Comm::coll_tag(self.seq, round);
-        let count = self.data.len();
-        let payload = to_bytes(&self.data[block_range(count, size as usize, send_block)]);
-        let send = self
-            .comm
-            .isend_on_ctx(self.comm.coll_ctx(), payload, right, tag);
-        let recv_len = block_range(count, size as usize, recv_block).len();
-        let (recv, slot) =
-            self.comm
-                .irecv_on_ctx(self.comm.coll_ctx(), recv_len * T::SIZE, left, tag);
-        self.state = RingState::Wait {
-            next: Box::new(next),
-            reducing,
-            recv_block,
-            send,
-            recv,
-            slot,
-        };
-        AsyncPoll::Progress
-    }
-}
-
-impl<T: Reducible> CollTask for RingAllreduceTask<T> {
-    fn advance(&mut self) -> AsyncPoll {
-        let size = self.comm.size();
-        let rank = self.comm.rank() as usize;
-        if size == 1 {
-            return self.finish();
-        }
-        match std::mem::replace(
-            &mut self.state,
-            RingState::ReduceScatter { step: usize::MAX },
-        ) {
-            RingState::ReduceScatter { step } => {
-                if step >= size - 1 {
-                    self.state = RingState::Allgather { step: 0 };
-                    return self.advance();
-                }
-                let send_block = (rank + size - step) % size;
-                let recv_block = (rank + size - step - 1) % size;
-                self.issue(
-                    step as u32,
-                    send_block,
-                    recv_block,
-                    true,
-                    RingState::ReduceScatter { step: step + 1 },
-                )
-            }
-            RingState::Allgather { step } => {
-                if step >= size - 1 {
-                    return self.finish();
-                }
-                // After reduce-scatter, rank r owns reduced block (r+1)%P.
-                let send_block = (rank + 1 + size - step) % size;
-                let recv_block = (rank + size - step) % size;
-                self.issue(
-                    (size - 1 + step) as u32,
-                    send_block,
-                    recv_block,
-                    false,
-                    RingState::Allgather { step: step + 1 },
-                )
-            }
-            RingState::Wait {
-                next,
-                reducing,
-                recv_block,
-                send,
-                recv,
-                slot,
-            } => {
-                if !(send.is_complete() && recv.is_complete()) {
-                    self.state = RingState::Wait {
-                        next,
-                        reducing,
-                        recv_block,
-                        send,
-                        recv,
-                        slot,
-                    };
-                    return AsyncPoll::Pending;
-                }
-                let incoming: Vec<T> = from_bytes(&slot.take());
-                let range = block_range(self.data.len(), size, recv_block);
-                if reducing {
-                    self.op
-                        .apply(&mut self.data[range], &incoming)
-                        .expect("validated at initiation");
-                } else {
-                    self.data[range].copy_from_slice(&incoming);
-                }
-                self.state = *next;
-                self.advance()
-            }
-        }
-    }
+    steps.extend(ring_allgather(me, size, 1, block));
+    steps
 }
 
 impl Comm {
-    /// Payload size (bytes) above which [`Comm::iallreduce`] switches from
-    /// recursive doubling to the ring algorithm.
+    /// Payload size (bytes) above which [`Comm::iallreduce_auto`] switches
+    /// from recursive doubling to the ring algorithm.
     pub const ALLREDUCE_RING_THRESHOLD: usize = 32 * 1024;
 
     /// Nonblocking ring allreduce (`MPI_Iallreduce`, large-message
     /// algorithm). Valid for any rank count.
     pub fn iallreduce_ring<T: Reducible>(&self, data: &[T], op: Op) -> MpiResult<CollFuture<T>> {
-        op.apply::<T>(&mut [], &[])?;
-        let seq = self.next_coll_seq();
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::<T>::pair(req);
-        let task = RingAllreduceTask {
-            comm: self.clone(),
-            seq,
-            op,
-            data: data.to_vec(),
-            state: RingState::ReduceScatter { step: 0 },
-            out,
-            completer: Some(completer),
-        };
-        self.bundle().sched.submit(Box::new(task));
-        Ok(fut)
+        let steps = allreduce_ring(self.rank() as usize, self.size(), data.len());
+        self.start_reduce_sched(Plan::in_place(steps, data.len()), data, op)
     }
 
     /// Nonblocking allreduce with automatic algorithm selection:

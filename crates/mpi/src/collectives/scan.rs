@@ -2,136 +2,52 @@
 //! using the classic distance-doubling algorithm for commutative-and-
 //! associative operations.
 //!
-//! Round k: exchange partial results with `rank ± 2^k`; a rank folds what
-//! it receives from `rank - 2^k` into both its running prefix and the
-//! partial value it forwards up. ⌈log₂ P⌉ rounds.
-
-use mpfa_core::{AsyncPoll, Completer, Request, Status};
+//! Round k: send the partial of the contiguous span ending at this rank to
+//! `rank + 2^k`, fold what arrives from `rank − 2^k` into it. ⌈log₂ P⌉
+//! rounds. The inclusive prefix *is* that partial. The exclusive prefix
+//! leaves out the rank's own value, so it is folded separately from the
+//! same payloads, which land in a scratch third of the buffer first.
 
 use crate::comm::Comm;
-use crate::datatype::{from_bytes, to_bytes};
 use crate::error::MpiResult;
-use crate::matching::RecvSlot;
 use crate::op::{Op, Reducible};
-use crate::sched::CollTask;
+use crate::sched::{Land, Plan, Step};
 
-use super::future::{CollFuture, CollOutput};
+use super::CollFuture;
 
-enum ScanState {
-    Round {
-        mask: usize,
-    },
-    Wait {
-        mask: usize,
-        send: Option<Request>,
-        recv: Option<(Request, RecvSlot)>,
-    },
-}
-
-struct ScanTask<T: Reducible> {
-    comm: Comm,
-    seq: u64,
-    op: Op,
-    /// The result accumulator: the inclusive prefix (scan), or the
-    /// combination of received lower spans only (exscan).
-    prefix: Vec<T>,
-    /// The inclusive partial of the contiguous span ending at this rank,
-    /// forwarded to higher ranks each round.
-    partial: Vec<T>,
-    /// Exscan mode: exclude the rank's own value from `prefix`.
-    exclusive: bool,
-    got_any: bool,
-    state: ScanState,
-    out: CollOutput<T>,
-    completer: Option<Completer>,
-}
-
-impl<T: Reducible> ScanTask<T> {
-    fn finish(&mut self) -> AsyncPoll {
-        let result = if self.exclusive && !self.got_any {
-            // Rank 0 never receives: its exscan value is undefined in MPI;
-            // we report it as empty.
-            Vec::new()
-        } else {
-            std::mem::take(&mut self.prefix)
-        };
-        self.out.deposit(result);
-        if let Some(c) = self.completer.take() {
-            c.complete(Status::empty());
+pub(crate) fn scan(me: usize, size: usize, n: usize, exclusive: bool) -> Plan {
+    let (partial, prefix, scratch) = (0..n, n..2 * n, 2 * n..3 * n);
+    let mut steps = Vec::new();
+    let mut m = 1;
+    while m < size {
+        if me + m < size {
+            steps.push(Step::send(me + m, partial.clone()));
         }
-        AsyncPoll::Done
+        if me >= m && !exclusive {
+            steps.push(Step::recv_reduce(me - m, partial.clone()));
+        } else if me >= m {
+            steps.push(Step::recv(me - m, scratch.clone()));
+            // The first payload from below seeds the exclusive prefix.
+            let land = if m == 1 { Land::Copy } else { Land::Reduce };
+            let (src, dst) = (scratch.clone(), prefix.clone());
+            steps.push(Step::Local { src, dst, land });
+            let (src, dst, land) = (scratch.clone(), partial.clone(), Land::Reduce);
+            steps.push(Step::Local { src, dst, land });
+        }
+        steps.push(Step::Barrier);
+        m <<= 1;
     }
-}
-
-impl<T: Reducible> CollTask for ScanTask<T> {
-    fn advance(&mut self) -> AsyncPoll {
-        let size = self.comm.size();
-        let rank = self.comm.rank() as usize;
-        loop {
-            match &mut self.state {
-                ScanState::Round { mask } => {
-                    let m = *mask;
-                    if m >= size {
-                        return self.finish();
-                    }
-                    let tag = Comm::coll_tag(self.seq, m.trailing_zeros());
-                    let send = (rank + m < size).then(|| {
-                        self.comm.isend_on_ctx(
-                            self.comm.coll_ctx(),
-                            to_bytes(&self.partial),
-                            (rank + m) as i32,
-                            tag,
-                        )
-                    });
-                    let recv = (rank >= m).then(|| {
-                        self.comm.irecv_on_ctx(
-                            self.comm.coll_ctx(),
-                            self.partial.len() * T::SIZE,
-                            (rank - m) as i32,
-                            tag,
-                        )
-                    });
-                    if send.is_none() && recv.is_none() {
-                        self.state = ScanState::Round { mask: m << 1 };
-                        continue;
-                    }
-                    self.state = ScanState::Wait {
-                        mask: m,
-                        send,
-                        recv,
-                    };
-                    return AsyncPoll::Progress;
-                }
-                ScanState::Wait { mask, send, recv } => {
-                    let send_done = send.as_ref().map(Request::is_complete).unwrap_or(true);
-                    let recv_done = recv.as_ref().map(|(r, _)| r.is_complete()).unwrap_or(true);
-                    if !(send_done && recv_done) {
-                        return AsyncPoll::Pending;
-                    }
-                    let m = *mask;
-                    if let Some((_, slot)) = recv.take() {
-                        let incoming: Vec<T> = from_bytes(&slot.take());
-                        if self.exclusive && !self.got_any {
-                            // First contribution from below seeds the
-                            // exclusive accumulator (own value excluded).
-                            self.prefix = incoming.clone();
-                        } else {
-                            self.op
-                                .apply(&mut self.prefix, &incoming)
-                                .expect("validated at initiation");
-                        }
-                        self.got_any = true;
-                        // The partial we forward must absorb the incoming
-                        // span too.
-                        self.op
-                            .apply(&mut self.partial, &incoming)
-                            .expect("validated at initiation");
-                    }
-                    self.state = ScanState::Round { mask: m << 1 };
-                    continue;
-                }
-            }
-        }
+    if !exclusive {
+        return Plan::in_place(steps, n);
+    }
+    // Rank 0 never receives: its exscan value is undefined in MPI; we
+    // report it as empty.
+    let out = if me == 0 { 0..0 } else { prefix };
+    Plan {
+        steps,
+        len: 3 * n,
+        at: 0,
+        out,
     }
 }
 
@@ -139,51 +55,27 @@ impl Comm {
     /// Nonblocking inclusive scan (`MPI_Iscan`): rank r's future yields
     /// `op(data_0, …, data_r)`.
     pub fn iscan<T: Reducible>(&self, data: &[T], op: Op) -> MpiResult<CollFuture<T>> {
-        self.scan_impl(data, op, false)
+        let plan = scan(self.rank() as usize, self.size(), data.len(), false);
+        self.start_reduce_sched(plan, data, op)
     }
 
     /// Nonblocking exclusive scan (`MPI_Iexscan`): rank r's future yields
     /// `op(data_0, …, data_{r-1})`; rank 0 gets an empty vector
     /// (MPI leaves it undefined).
     pub fn iexscan<T: Reducible>(&self, data: &[T], op: Op) -> MpiResult<CollFuture<T>> {
-        self.scan_impl(data, op, true)
-    }
-
-    fn scan_impl<T: Reducible>(
-        &self,
-        data: &[T],
-        op: Op,
-        exclusive: bool,
-    ) -> MpiResult<CollFuture<T>> {
-        op.apply::<T>(&mut [], &[])?;
-        let seq = self.next_coll_seq();
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::<T>::pair(req);
-        let task = ScanTask {
-            comm: self.clone(),
-            seq,
-            op,
-            prefix: data.to_vec(),
-            partial: data.to_vec(),
-            exclusive,
-            got_any: false,
-            state: ScanState::Round { mask: 1 },
-            out,
-            completer: Some(completer),
-        };
-        self.bundle().sched.submit(Box::new(task));
-        Ok(fut)
+        let plan = scan(self.rank() as usize, self.size(), data.len(), true);
+        self.start_reduce_sched(plan, data, op)
     }
 
     /// Blocking inclusive scan (`MPI_Scan`).
     pub fn scan<T: Reducible>(&self, data: &[T], op: Op) -> MpiResult<Vec<T>> {
-        Ok(self.iscan(data, op)?.wait().0)
+        Ok(self.iscan(data, op)?.wait_result()?.0)
     }
 
     /// Blocking exclusive scan (`MPI_Exscan`). Rank 0 receives an empty
     /// vector.
     pub fn exscan<T: Reducible>(&self, data: &[T], op: Op) -> MpiResult<Vec<T>> {
-        Ok(self.iexscan(data, op)?.wait().0)
+        Ok(self.iexscan(data, op)?.wait_result()?.0)
     }
 }
 

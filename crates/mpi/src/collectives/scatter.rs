@@ -1,57 +1,34 @@
 //! Linear scatter.
 //!
-//! The root sends block `i` of its buffer to rank `i` (its own block is a
-//! local copy); every rank's future yields its block.
-
-use mpfa_core::{AsyncPoll, Completer, Request, Status};
+//! The root sends block `i` of its buffer to rank `i` (its own block
+//! stays where it is); every rank's future yields its block. Counts may
+//! differ per rank (`MPI_Scatterv`).
 
 use crate::comm::Comm;
-use crate::datatype::{from_bytes, to_bytes, MpiType};
-use crate::error::{MpiError, MpiResult};
-use crate::matching::RecvSlot;
-use crate::sched::CollTask;
+use crate::datatype::MpiType;
+use crate::error::MpiResult;
+use crate::sched::{Plan, Step};
 
-use super::future::{CollFuture, CollOutput};
+use super::{offsets, CollFuture};
 
-enum ScatterState {
-    RootWait { sends: Vec<Request>, own: Vec<u8> },
-    LeafWait(Request, RecvSlot),
-}
-
-struct ScatterTask<T: MpiType> {
-    state: ScatterState,
-    out: CollOutput<T>,
-    completer: Option<Completer>,
-}
-
-impl<T: MpiType> ScatterTask<T> {
-    fn finish(&mut self, result: Vec<T>) -> AsyncPoll {
-        self.out.deposit(result);
-        if let Some(c) = self.completer.take() {
-            c.complete(Status::empty());
-        }
-        AsyncPoll::Done
+pub(crate) fn scatter(me: usize, counts: &[usize], root: usize) -> Plan {
+    if me != root {
+        return Plan::in_place(
+            vec![Step::recv(root, 0..counts[me]), Step::Barrier],
+            counts[me],
+        );
     }
-}
-
-impl<T: MpiType> CollTask for ScatterTask<T> {
-    fn advance(&mut self) -> AsyncPoll {
-        match &mut self.state {
-            ScatterState::RootWait { sends, own } => {
-                if !Request::all_complete(sends) {
-                    return AsyncPoll::Pending;
-                }
-                let own = std::mem::take(own);
-                self.finish(from_bytes(&own))
-            }
-            ScatterState::LeafWait(req, slot) => {
-                if !req.is_complete() {
-                    return AsyncPoll::Pending;
-                }
-                let bytes = slot.take();
-                self.finish(from_bytes(&bytes))
-            }
-        }
+    let offs = offsets(counts);
+    let mut steps: Vec<Step> = (0..counts.len())
+        .filter(|&dst| dst != root)
+        .map(|dst| Step::send(dst, offs[dst]..offs[dst + 1]))
+        .collect();
+    steps.push(Step::Barrier);
+    Plan {
+        steps,
+        len: offs[counts.len()],
+        at: 0,
+        out: offs[root]..offs[root + 1],
     }
 }
 
@@ -65,51 +42,7 @@ impl Comm {
         count: usize,
         root: i32,
     ) -> MpiResult<CollFuture<T>> {
-        if root < 0 || root as usize >= self.size() {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: self.size(),
-            });
-        }
-        let seq = self.next_coll_seq();
-        let tag = Comm::coll_tag(seq, 0);
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::<T>::pair(req);
-
-        let state = if self.rank() == root {
-            let data = data.ok_or(MpiError::CountMismatch {
-                got: 0,
-                expected: count * self.size(),
-            })?;
-            if data.len() != count * self.size() {
-                return Err(MpiError::CountMismatch {
-                    got: data.len(),
-                    expected: count * self.size(),
-                });
-            }
-            let mut own = Vec::new();
-            let mut sends = Vec::new();
-            for dst in 0..self.size() as i32 {
-                let block = &data[dst as usize * count..(dst as usize + 1) * count];
-                if dst == root {
-                    own = to_bytes(block);
-                } else {
-                    sends.push(self.isend_on_ctx(self.coll_ctx(), to_bytes(block), dst, tag));
-                }
-            }
-            ScatterState::RootWait { sends, own }
-        } else {
-            let (rreq, slot) = self.irecv_on_ctx(self.coll_ctx(), count * T::SIZE, root, tag);
-            ScatterState::LeafWait(rreq, slot)
-        };
-
-        let task = ScatterTask {
-            state,
-            out,
-            completer: Some(completer),
-        };
-        self.bundle().sched.submit(Box::new(task));
-        Ok(fut)
+        self.iscatterv(data, &vec![count; self.size()], root)
     }
 
     /// Blocking scatter (`MPI_Scatter`).
@@ -119,7 +52,7 @@ impl Comm {
         count: usize,
         root: i32,
     ) -> MpiResult<Vec<T>> {
-        Ok(self.iscatter(data, count, root)?.wait().0)
+        Ok(self.iscatter(data, count, root)?.wait_result()?.0)
     }
 }
 

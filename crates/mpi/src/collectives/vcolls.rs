@@ -3,87 +3,38 @@
 //!
 //! Counts differ per rank, so the count vector is an argument on every
 //! rank (as in MPI, where `recvcounts`/`sendcounts` are significant at
-//! the root / everywhere). Algorithms are linear (gatherv/scatterv) and
-//! gather-then-bcast (allgatherv) — simple, correct baselines.
-
-use mpfa_core::{AsyncPoll, Completer, Request, Status};
+//! the root / everywhere). Gatherv and scatterv are the linear plans of
+//! [`super::gather`] and [`super::scatter`]; allgatherv is a linear
+//! gather to rank 0 followed by a binomial bcast of the concatenation —
+//! simple, correct baselines.
 
 use crate::comm::Comm;
-use crate::datatype::{from_bytes, to_bytes, MpiType};
-use crate::error::{MpiError, MpiResult};
-use crate::matching::RecvSlot;
-use crate::sched::CollTask;
+use crate::datatype::MpiType;
+use crate::error::MpiResult;
+use crate::sched::{Plan, Step};
 
-use super::future::{CollFuture, CollOutput};
+use super::bcast::bcast_tree;
+use super::gather::gather;
+use super::scatter::scatter;
+use super::{count_is, offsets, CollFuture};
 
-enum VState {
-    /// Root of gatherv: per-source receive (None at own slot).
-    GatherRoot {
-        recvs: Vec<Option<(Request, RecvSlot)>>,
-        own: Vec<u8>,
-        counts: Vec<usize>,
-    },
-    /// Non-root of gatherv / root of scatterv: wait for plain requests.
-    Sends(Vec<Request>),
-    /// Leaf of scatterv: one receive.
-    Recv(Request, RecvSlot),
-}
-
-struct VTask<T: MpiType> {
-    state: VState,
-    out: CollOutput<T>,
-    completer: Option<Completer>,
-    /// For the scatterv root: its own block, delivered at completion.
-    own_result: Vec<u8>,
-}
-
-impl<T: MpiType> VTask<T> {
-    fn finish(&mut self, result: Vec<T>) -> AsyncPoll {
-        self.out.deposit(result);
-        if let Some(c) = self.completer.take() {
-            c.complete(Status::empty());
-        }
-        AsyncPoll::Done
-    }
-}
-
-impl<T: MpiType> CollTask for VTask<T> {
-    fn advance(&mut self) -> AsyncPoll {
-        match &mut self.state {
-            VState::GatherRoot { recvs, own, counts } => {
-                let done = recvs
-                    .iter()
-                    .all(|r| r.as_ref().map(|(req, _)| req.is_complete()).unwrap_or(true));
-                if !done {
-                    return AsyncPoll::Pending;
-                }
-                let total: usize = counts.iter().sum();
-                let mut result: Vec<T> = Vec::with_capacity(total);
-                let own = std::mem::take(own);
-                let recvs = std::mem::take(recvs);
-                for entry in recvs.into_iter() {
-                    match entry {
-                        Some((_, slot)) => result.extend(from_bytes::<T>(&slot.take())),
-                        None => result.extend(from_bytes::<T>(&own)),
-                    }
-                }
-                self.finish(result)
-            }
-            VState::Sends(reqs) => {
-                if !Request::all_complete(reqs) {
-                    return AsyncPoll::Pending;
-                }
-                let own = std::mem::take(&mut self.own_result);
-                self.finish(from_bytes(&own))
-            }
-            VState::Recv(req, slot) => {
-                if !req.is_complete() {
-                    return AsyncPoll::Pending;
-                }
-                let bytes = slot.take();
-                self.finish(from_bytes(&bytes))
-            }
-        }
+pub(crate) fn allgatherv(me: usize, counts: &[usize]) -> Plan {
+    let offs = offsets(counts);
+    let block = |i: usize| offs[i]..offs[i + 1];
+    let mut steps: Vec<Step> = match me {
+        0 => (1..counts.len())
+            .map(|src| Step::recv(src, block(src)))
+            .collect(),
+        _ => vec![Step::send(0, block(me))],
+    };
+    steps.push(Step::Barrier);
+    let total = offs[counts.len()];
+    steps.extend(bcast_tree(me, counts.len(), 0..total));
+    Plan {
+        steps,
+        len: total,
+        at: offs[me],
+        out: 0..total,
     }
 }
 
@@ -97,47 +48,9 @@ impl Comm {
         counts: &[usize],
         root: i32,
     ) -> MpiResult<CollFuture<T>> {
-        self.validate_v(counts, root)?;
-        if data.len() != counts[self.rank() as usize] {
-            return Err(MpiError::CountMismatch {
-                got: data.len(),
-                expected: counts[self.rank() as usize],
-            });
-        }
-        let seq = self.next_coll_seq();
-        let tag = Comm::coll_tag(seq, 0);
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::<T>::pair(req);
-
-        let task: VTask<T> = if self.rank() == root {
-            let recvs = (0..self.size() as i32)
-                .map(|src| {
-                    (src != root).then(|| {
-                        self.irecv_on_ctx(self.coll_ctx(), counts[src as usize] * T::SIZE, src, tag)
-                    })
-                })
-                .collect();
-            VTask {
-                state: VState::GatherRoot {
-                    recvs,
-                    own: to_bytes(data),
-                    counts: counts.to_vec(),
-                },
-                out,
-                completer: Some(completer),
-                own_result: Vec::new(),
-            }
-        } else {
-            let sreq = self.isend_on_ctx(self.coll_ctx(), to_bytes(data), root, tag);
-            VTask {
-                state: VState::Sends(vec![sreq]),
-                out,
-                completer: Some(completer),
-                own_result: Vec::new(),
-            }
-        };
-        self.bundle().sched.submit(Box::new(task));
-        Ok(fut)
+        self.check_counts(counts, root)?;
+        count_is(data.len(), counts[self.rank() as usize])?;
+        self.start_sched(gather(self.rank() as usize, counts, root as usize), data)
     }
 
     /// Blocking `MPI_Gatherv`. `Some(concatenation)` at the root.
@@ -147,7 +60,7 @@ impl Comm {
         counts: &[usize],
         root: i32,
     ) -> MpiResult<Option<Vec<T>>> {
-        let (result, _) = self.igatherv(data, counts, root)?.wait();
+        let (result, _) = self.igatherv(data, counts, root)?.wait_result()?;
         Ok((self.rank() == root).then_some(result))
     }
 
@@ -160,63 +73,9 @@ impl Comm {
         counts: &[usize],
         root: i32,
     ) -> MpiResult<CollFuture<T>> {
-        self.validate_v(counts, root)?;
-        let seq = self.next_coll_seq();
-        let tag = Comm::coll_tag(seq, 0);
-        let (req, completer) = Request::pair(self.stream());
-        let (fut, out) = CollFuture::<T>::pair(req);
-
-        let task: VTask<T> = if self.rank() == root {
-            let total: usize = counts.iter().sum();
-            let data = data.ok_or(MpiError::CountMismatch {
-                got: 0,
-                expected: total,
-            })?;
-            if data.len() != total {
-                return Err(MpiError::CountMismatch {
-                    got: data.len(),
-                    expected: total,
-                });
-            }
-            let mut sends = Vec::new();
-            let mut own = Vec::new();
-            let mut off = 0usize;
-            for (dst, &count) in counts.iter().enumerate() {
-                let block = &data[off..off + count];
-                off += count;
-                if dst as i32 == root {
-                    own = to_bytes(block);
-                } else {
-                    sends.push(self.isend_on_ctx(
-                        self.coll_ctx(),
-                        to_bytes(block),
-                        dst as i32,
-                        tag,
-                    ));
-                }
-            }
-            VTask {
-                state: VState::Sends(sends),
-                out,
-                completer: Some(completer),
-                own_result: own,
-            }
-        } else {
-            let (rreq, slot) = self.irecv_on_ctx(
-                self.coll_ctx(),
-                counts[self.rank() as usize] * T::SIZE,
-                root,
-                tag,
-            );
-            VTask {
-                state: VState::Recv(rreq, slot),
-                out,
-                completer: Some(completer),
-                own_result: Vec::new(),
-            }
-        };
-        self.bundle().sched.submit(Box::new(task));
-        Ok(fut)
+        self.check_counts(counts, root)?;
+        let data = self.rooted_input(data, counts.iter().sum(), root)?;
+        self.start_sched(scatter(self.rank() as usize, counts, root as usize), data)
     }
 
     /// Blocking `MPI_Scatterv`.
@@ -226,33 +85,22 @@ impl Comm {
         counts: &[usize],
         root: i32,
     ) -> MpiResult<Vec<T>> {
-        Ok(self.iscatterv(data, counts, root)?.wait().0)
+        Ok(self.iscatterv(data, counts, root)?.wait_result()?.0)
     }
 
     /// Blocking `MPI_Allgatherv` (gatherv to rank 0 + bcast of the
-    /// concatenation).
+    /// concatenation, as one schedule).
     pub fn allgatherv<T: MpiType>(&self, data: &[T], counts: &[usize]) -> MpiResult<Vec<T>> {
-        let gathered = self.gatherv(data, counts, 0)?;
-        let total: usize = counts.iter().sum();
-        let mut buf = gathered.unwrap_or_default();
-        self.bcast(&mut buf, total, 0)?;
-        Ok(buf)
+        self.check_counts(counts, 0)?;
+        count_is(data.len(), counts[self.rank() as usize])?;
+        let plan = allgatherv(self.rank() as usize, counts);
+        Ok(self.start_sched(plan, data)?.wait_result()?.0)
     }
 
-    fn validate_v(&self, counts: &[usize], root: i32) -> MpiResult<()> {
-        if root < 0 || root as usize >= self.size() {
-            return Err(MpiError::InvalidRank {
-                rank: root,
-                size: self.size(),
-            });
-        }
-        if counts.len() != self.size() {
-            return Err(MpiError::CountMismatch {
-                got: counts.len(),
-                expected: self.size(),
-            });
-        }
-        Ok(())
+    /// `root` in range and one count per rank.
+    fn check_counts(&self, counts: &[usize], root: i32) -> MpiResult<()> {
+        self.check_rank(root)?;
+        count_is(counts.len(), self.size())
     }
 }
 

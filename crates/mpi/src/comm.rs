@@ -130,7 +130,7 @@ impl Comm {
             .map(|p| p as i32)
     }
 
-    fn check_rank(&self, r: i32) -> MpiResult<()> {
+    pub(crate) fn check_rank(&self, r: i32) -> MpiResult<()> {
         if r < 0 || r as usize >= self.group.len() {
             return Err(MpiError::InvalidRank {
                 rank: r,

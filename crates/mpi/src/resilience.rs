@@ -777,11 +777,18 @@ mod tests {
 
     #[test]
     fn isend_to_failed_rank_is_born_failed() {
+        let past_barrier = std::sync::atomic::AtomicUsize::new(0);
         let results = run_ranks(3, |proc| {
             let r = enable(&proc);
             let comm = proc.world_comm();
             comm.barrier().unwrap();
+            past_barrier.fetch_add(1, Ordering::AcqRel);
             if proc.rank() == 0 {
+                // The verdict is gossiped: report only once every rank
+                // has left the barrier, or a slow one fails inside it.
+                while past_barrier.load(Ordering::Acquire) < 3 {
+                    std::hint::spin_loop();
+                }
                 // Local knowledge only — no kill switch needed.
                 r.detector().report_failure(2);
                 while !r.detector().is_failed(2) {

@@ -300,3 +300,185 @@ fn empty_messages_flow_through_every_path() {
     });
     assert!(results.iter().all(|&ok| ok));
 }
+
+/// One rank is dead before the collective starts. Every survivor must end
+/// with `Err`, or with exactly the value a healthy run gives it (a bcast
+/// leaf that is not downstream of the victim, a gather non-root) — never
+/// a short vector, an empty buffer, a panic in the sweep or a hang. A
+/// survivor revokes on its first `Err`, which is what unblocks the ones
+/// whose partner aborted instead of sending.
+#[test]
+fn dead_rank_fails_or_completes_every_collective_exactly() {
+    use mpfa::mpi::{Comm, MpiResult, Op};
+    use mpfa::resil::DetectorConfig;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Runs one collective on `comm`; `Ok(exact)` says whether the value
+    /// is the healthy run's.
+    type Case = (&'static str, fn(&Comm) -> MpiResult<bool>);
+
+    fn mine(comm: &Comm, len: usize) -> Vec<i64> {
+        (0..len as i64)
+            .map(|i| i + 10 * comm.rank() as i64)
+            .collect()
+    }
+    /// Element-wise sum of the `mine` of ranks `..upto`.
+    fn sum(len: usize, upto: usize) -> Vec<i64> {
+        let ranks: i64 = (0..upto as i64).sum();
+        (0..len as i64)
+            .map(|i| upto as i64 * i + 10 * ranks)
+            .collect()
+    }
+    fn concat(comm: &Comm, len: impl Fn(usize) -> usize) -> Vec<i64> {
+        let block = |r: usize| (0..len(r) as i64).map(move |i| i + 10 * r as i64);
+        (0..comm.size()).flat_map(block).collect()
+    }
+    fn ragged(comm: &Comm) -> Vec<usize> {
+        (0..comm.size()).map(|r| r % 3 + 1).collect()
+    }
+    fn rooted(comm: &Comm, data: &[i64]) -> Option<Vec<i64>> {
+        (comm.rank() == 0).then(|| data.to_vec())
+    }
+
+    const CASES: &[Case] = &[
+        ("barrier", |c| c.barrier().map(|()| true)),
+        ("bcast", |c| {
+            let mut buf = rooted(c, &[7, 8, 9]).unwrap_or_default();
+            c.bcast(&mut buf, 3, 0).map(|()| buf == [7, 8, 9])
+        }),
+        ("bcast_sag", |c| {
+            let want: Vec<i64> = (0..10).collect();
+            let fut = c.ibcast_sag(rooted(c, &want).as_deref(), 10, 0)?;
+            Ok(fut.wait_result()?.0 == want)
+        }),
+        ("reduce", |c| {
+            let got = c.reduce(&mine(c, 3), Op::Sum, 0)?;
+            Ok(got.is_none_or(|v| v == sum(3, c.size())))
+        }),
+        ("allreduce", |c| {
+            let got = c.allreduce(&mine(c, 3), Op::Sum)?;
+            Ok(got == sum(3, c.size()))
+        }),
+        ("allreduce_ring", |c| {
+            let got = c.iallreduce_ring(&mine(c, 7), Op::Sum)?.wait_result()?.0;
+            Ok(got == sum(7, c.size()))
+        }),
+        ("allgather", |c| {
+            let got = c.allgather(&mine(c, 2))?;
+            Ok(got == concat(c, |_| 2))
+        }),
+        ("gather", |c| {
+            let got = c.gather(&mine(c, 2), 0)?;
+            Ok(got.is_none_or(|v| v == concat(c, |_| 2)))
+        }),
+        ("gatherv", |c| {
+            let counts = ragged(c);
+            let got = c.gatherv(&mine(c, counts[c.rank() as usize]), &counts, 0)?;
+            Ok(got.is_none_or(|v| v == concat(c, |r| counts[r])))
+        }),
+        ("scatter", |c| {
+            let all = concat(c, |_| 2);
+            let got = c.scatter(rooted(c, &all).as_deref(), 2, 0)?;
+            Ok(got == mine(c, 2))
+        }),
+        ("scatterv", |c| {
+            let counts = ragged(c);
+            let all = concat(c, |r| counts[r]);
+            let got = c.scatterv(rooted(c, &all).as_deref(), &counts, 0)?;
+            Ok(got == mine(c, counts[c.rank() as usize]))
+        }),
+        ("allgatherv", |c| {
+            let counts = ragged(c);
+            let got = c.allgatherv(&mine(c, counts[c.rank() as usize]), &counts)?;
+            Ok(got == concat(c, |r| counts[r]))
+        }),
+        ("alltoall", |c| {
+            // Every rank sends [100·me + dst] to dst.
+            let me = c.rank() as i64;
+            let data: Vec<i64> = (0..c.size() as i64).map(|dst| 100 * me + dst).collect();
+            let want: Vec<i64> = (0..c.size() as i64).map(|src| 100 * src + me).collect();
+            Ok(c.alltoall(&data, 1)? == want)
+        }),
+        ("reduce_scatter_block", |c| {
+            let got = c.reduce_scatter_block(&mine(c, c.size()), 1, Op::Sum)?;
+            let me = c.rank() as usize;
+            Ok(got == sum(c.size(), c.size())[me..me + 1])
+        }),
+        ("scan", |c| {
+            let got = c.scan(&mine(c, 3), Op::Sum)?;
+            Ok(got == sum(3, c.rank() as usize + 1))
+        }),
+        ("exscan", |c| {
+            let got = c.exscan(&mine(c, 3), Op::Sum)?;
+            Ok(c.rank() == 0 && got.is_empty() || got == sum(3, c.rank() as usize))
+        }),
+        ("allreduce_hier", |c| {
+            let got = c.iallreduce_hier(&mine(c, 3), Op::Sum)?.wait_result()?.0;
+            Ok(got == sum(3, c.size()))
+        }),
+        ("bcast_hier", |c| {
+            let fut = c.ibcast_hier(rooted(c, &[7, 8, 9]).as_deref(), 3, 0)?;
+            Ok(fut.wait_result()?.0 == [7, 8, 9])
+        }),
+        ("barrier_hier", |c| {
+            c.ibarrier_hier()?.wait_result()?;
+            Ok(true)
+        }),
+    ];
+
+    let _rt = mpfa::dst::real_time();
+    // Nodes of two ranks for the hierarchical cases (nothing else in this
+    // binary reads the variable): two and three nodes, the last one short.
+    std::env::set_var(mpfa::mpi::collectives::ENV_NODE_SIZE, "2");
+    let (watchdog_tx, watchdog_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        for n in [4, 5] {
+            let victim = n - 2;
+            for (name, case) in CASES {
+                watchdog_tx.send(format!("{name} on {n} ranks")).unwrap();
+                let past_barrier = AtomicUsize::new(0);
+                let verdicts = run_ranks(WorldConfig::instant(n), |proc| {
+                    let r = proc.enable_resilience(DetectorConfig::default());
+                    let comm = proc.world_comm();
+                    comm.barrier().unwrap();
+                    // As in `injected_peer_death_…`: kill only once every
+                    // rank has left the warm-up barrier, and let each
+                    // survivor's own detector convict the victim first.
+                    past_barrier.fetch_add(1, Ordering::AcqRel);
+                    if proc.rank() == victim {
+                        return None;
+                    }
+                    if proc.rank() == 0 {
+                        while past_barrier.load(Ordering::Acquire) < n {
+                            std::hint::spin_loop();
+                        }
+                        assert!(proc.world().chaos_kill(victim));
+                    }
+                    while !r.detector().is_failed(victim) {
+                        comm.stream().progress();
+                    }
+                    let verdict = case(&comm);
+                    if verdict.is_err() {
+                        comm.revoke().unwrap();
+                    }
+                    Some(verdict)
+                });
+                for (rank, verdict) in verdicts.into_iter().enumerate() {
+                    if let Some(Ok(exact)) = verdict {
+                        assert!(exact, "{name} on {n} ranks: rank {rank} got a wrong Ok");
+                    }
+                }
+            }
+        }
+    });
+    // A hang shows up as a case that outlives the watchdog.
+    let mut current = String::from("setup");
+    loop {
+        match watchdog_rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(name) => current = name,
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("hang in {current}"),
+        }
+    }
+    worker.join().expect("a survivor panicked");
+}

@@ -116,11 +116,11 @@ fn global_progress_thread_drives_mpi_traffic() {
         let bg = GlobalProgressThread::enable(comm.stream());
         let peer = 1 - comm.rank();
         let recv = comm.irecv::<u8>(100_000, peer, 1).unwrap(); // rendezvous
-        comm.isend(&vec![3u8; 100_000], peer, 1).unwrap();
+        let send = comm.isend(&vec![3u8; 100_000], peer, 1).unwrap();
         // The app thread only spins on completion; the bg thread moves the
-        // protocol.
+        // protocol — the peer's receive too, until this send is done.
         let req = recv.request();
-        while !req.is_complete() {
+        while !(req.is_complete() && send.is_complete()) {
             std::hint::spin_loop();
         }
         bg.disable();
