@@ -128,16 +128,21 @@ impl WireMsg {
     /// (RTS/CTS/ACK) are charged zero — they are header-sized, and the
     /// simulation models their cost as pure latency.
     pub fn wire_bytes(&self) -> usize {
+        self.payload().map_or(0, MpfaBytes::len)
+    }
+
+    /// The trailing payload view of a byte-carrying variant.
+    fn payload(&self) -> Option<&MpfaBytes> {
         match self {
-            WireMsg::Eager { data, .. } => data.len(),
-            WireMsg::Data { data, .. } => data.len(),
-            WireMsg::Refire { data, .. } => data.len(),
-            WireMsg::PartData { data, .. } => data.len(),
+            WireMsg::Eager { data, .. }
+            | WireMsg::Data { data, .. }
+            | WireMsg::Refire { data, .. }
+            | WireMsg::PartData { data, .. } => Some(data),
             WireMsg::Rts { .. }
             | WireMsg::Cts { .. }
             | WireMsg::DataAck { .. }
             | WireMsg::PersistBind { .. }
-            | WireMsg::RefireRts { .. } => 0,
+            | WireMsg::RefireRts { .. } => None,
         }
     }
 
@@ -186,18 +191,15 @@ fn read_hdr(r: &mut ByteReader<'_>) -> Option<MsgHeader> {
     })
 }
 
-/// [`FrameCodec`] lets [`WireMsg`] cross the real TCP/UDS backends of
-/// `mpfa-transport` unchanged: one leading variant byte, little-endian
-/// fixed-width fields, and — for the two data-bearing variants — the
-/// payload as the trailing rest of the frame (the frame header already
-/// carries the length, so none is repeated here).
-impl FrameCodec for WireMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
+impl WireMsg {
+    /// Append the variant tag and the fixed-width fields: the whole
+    /// encoding of a control packet, everything but the trailing
+    /// [`WireMsg::payload`] of a byte-carrying one.
+    fn put_fixed(&self, buf: &mut Vec<u8>) {
         match self {
-            WireMsg::Eager { hdr, data } => {
+            WireMsg::Eager { hdr, .. } => {
                 buf.push(TAG_EAGER);
                 put_hdr(buf, hdr);
-                buf.extend_from_slice(data);
             }
             WireMsg::Rts {
                 hdr,
@@ -215,14 +217,11 @@ impl FrameCodec for WireMsg {
                 put_u64(buf, *recv_id);
             }
             WireMsg::Data {
-                recv_id,
-                offset,
-                data,
+                recv_id, offset, ..
             } => {
                 buf.push(TAG_DATA);
                 put_u64(buf, *recv_id);
                 put_u64(buf, *offset as u64);
-                buf.extend_from_slice(data);
             }
             WireMsg::DataAck { send_id } => {
                 buf.push(TAG_DATA_ACK);
@@ -233,11 +232,10 @@ impl FrameCodec for WireMsg {
                 put_hdr(buf, key);
                 put_u64(buf, *slot);
             }
-            WireMsg::Refire { slot, gen, data } => {
+            WireMsg::Refire { slot, gen, .. } => {
                 buf.push(TAG_REFIRE);
                 put_u64(buf, *slot);
                 put_u64(buf, *gen);
-                buf.extend_from_slice(data);
             }
             WireMsg::RefireRts {
                 slot,
@@ -252,18 +250,35 @@ impl FrameCodec for WireMsg {
                 put_u64(buf, *total as u64);
             }
             WireMsg::PartData {
-                slot,
-                offset,
-                part,
-                data,
+                slot, offset, part, ..
             } => {
                 buf.push(TAG_PART_DATA);
                 put_u64(buf, *slot);
                 put_u64(buf, *offset as u64);
                 put_i32(buf, *part as i32);
-                buf.extend_from_slice(data);
             }
         }
+    }
+}
+
+/// [`FrameCodec`] lets [`WireMsg`] cross the real TCP/UDS backends of
+/// `mpfa-transport` unchanged: one leading variant byte, little-endian
+/// fixed-width fields, and — for the byte-carrying variants — the
+/// payload as the trailing rest of the frame (the frame header already
+/// carries the length, so none is repeated here).
+impl FrameCodec for WireMsg {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.put_fixed(buf);
+        if let Some(data) = self.payload() {
+            buf.extend_from_slice(data);
+        }
+    }
+
+    /// The payload is always last, so the split is free: fixed fields
+    /// into `head`, the payload view handed over as it is.
+    fn encode_split(&self, head: &mut Vec<u8>) -> Option<MpfaBytes> {
+        self.put_fixed(head);
+        self.payload().cloned()
     }
 
     fn decode(bytes: &[u8]) -> Option<Self> {
@@ -632,6 +647,16 @@ mod tests {
             let mut direct = vec![0u8; len];
             msg.encode_into(&mut direct);
             assert_eq!(direct, buf);
+            // encode_split: head ++ tail is the same frame, and the tail
+            // is the message's own payload view, not a copy.
+            let mut head = Vec::new();
+            let tail = msg.encode_split(&mut head);
+            assert_eq!(
+                tail.as_ref().map(|t| t.as_ptr()),
+                msg.payload().map(|d| d.as_ptr())
+            );
+            head.extend_from_slice(tail.as_deref().unwrap_or_default());
+            assert_eq!(head, buf);
         }
     }
 

@@ -10,9 +10,10 @@
 //!
 //! Slicing ([`MpfaBytes::slice`]) and cloning never copy payload bytes;
 //! they bump a refcount. The only copies on the message path are the
-//! ones a backend genuinely requires (socket reassembly) or the typed
-//! API boundary demands (`Vec<T>` out of `wait`), and those are counted
-//! by the `bytes_copied` obs counter at the site of the memcpy.
+//! ones a backend genuinely requires (out of the socket staging buffer)
+//! or the typed API boundary demands (`Vec<T>` out of `wait`), and
+//! those are counted by the `bytes_copied` obs counter at the site of
+//! the memcpy.
 
 use std::collections::VecDeque;
 use std::ops::{Deref, Range};
@@ -191,15 +192,19 @@ impl Default for MpfaBytes {
 }
 
 // ---------------------------------------------------------------------
-// Buffer pool: reusable scratch buffers for frame encoding.
+// Buffer pool: reusable buffers for the socket datapath.
 // ---------------------------------------------------------------------
 
-/// A pool of reusable `Vec<u8>` scratch buffers.
+/// A pool of reusable `Vec<u8>` buffers.
 ///
-/// The wire TX path encodes every outgoing frame into a buffer checked
-/// out of a per-peer pool instead of allocating a fresh `Vec<u8>`; when
-/// the frame has been flushed to the socket and the last [`MpfaBytes`]
-/// view of it drops, the buffer returns to the pool for the next frame.
+/// The wire engine keeps two: one recycles the small frame *heads* its
+/// TX queue writes from ([`BufPool::take`] on send, [`BufPool::put`]
+/// once the frame is flushed), the other supplies the frame-sized
+/// receive buffers that incomplete frames are read straight into
+/// ([`BufPool::take_sized`], then [`BufPool::freeze`]: the buffer comes
+/// back when the last [`MpfaBytes`] view of the frame drops). Reusing
+/// the large ones is what keeps the allocator from trimming and
+/// re-faulting their pages on every bulk message.
 pub struct BufPool {
     free: Mutex<VecDeque<Vec<u8>>>,
     /// Max buffers retained; excess returns are dropped.
@@ -215,16 +220,28 @@ impl BufPool {
         })
     }
 
+    fn pop(&self) -> Option<Vec<u8>> {
+        self.free.lock().expect("buffer pool poisoned").pop_front()
+    }
+
     /// Check out an empty scratch buffer (reused when one is idle).
-    pub fn take(self: &Arc<BufPool>) -> Vec<u8> {
-        let mut buf = self
-            .free
-            .lock()
-            .expect("buffer pool poisoned")
-            .pop_front()
-            .unwrap_or_default();
+    pub fn take(&self) -> Vec<u8> {
+        let mut buf = self.pop().unwrap_or_default();
         buf.clear();
         buf
+    }
+
+    /// Check out a buffer of exactly `len` bytes whose contents are
+    /// unspecified (stale bytes of an earlier use, or zeros): for
+    /// callers that overwrite all of it, which saves re-zeroing.
+    pub fn take_sized(&self, len: usize) -> Vec<u8> {
+        match self.pop() {
+            Some(mut buf) => {
+                buf.resize(len, 0);
+                buf
+            }
+            None => vec![0; len],
+        }
     }
 
     /// Number of idle buffers (for tests).
@@ -232,7 +249,8 @@ impl BufPool {
         self.free.lock().expect("buffer pool poisoned").len()
     }
 
-    fn put(&self, buf: Vec<u8>) {
+    /// Hand a buffer back for reuse (dropped when the pool is full).
+    pub fn put(&self, buf: Vec<u8>) {
         let mut free = self.free.lock().expect("buffer pool poisoned");
         if free.len() < self.cap {
             free.push_back(buf);
@@ -342,6 +360,18 @@ mod tests {
         let again = pool.take();
         assert!(again.is_empty(), "recycled buffer comes back cleared");
         assert_eq!(again.capacity(), cap, "capacity retained across reuse");
+    }
+
+    #[test]
+    fn pool_hands_out_sized_buffers_without_rezeroing() {
+        let pool = BufPool::new(4);
+        assert_eq!(pool.take_sized(5), vec![0u8; 5], "fresh buffers are zeroed");
+        pool.put(vec![7u8; 8]);
+        // A recycled buffer keeps its old bytes up to the new length and
+        // is only zero-extended past them.
+        assert_eq!(pool.take_sized(6), vec![7u8; 6]);
+        pool.put(vec![7u8; 2]);
+        assert_eq!(pool.take_sized(4), vec![7u8, 7, 0, 0]);
     }
 
     #[test]

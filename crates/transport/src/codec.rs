@@ -19,6 +19,17 @@ pub trait FrameCodec: Send + Sized + 'static {
     /// Append this message's payload bytes to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
 
+    /// Scatter-gather encode: append the message's fixed fields to
+    /// `head` and return its trailing byte view *uncopied*; `head`'s new
+    /// bytes followed by the returned view are exactly what
+    /// [`FrameCodec::encode`] appends. The socket backends queue the two
+    /// parts and hand both to one `writev`, so a payload is never staged.
+    /// The default (no trailing view) encodes everything into `head`.
+    fn encode_split(&self, head: &mut Vec<u8>) -> Option<MpfaBytes> {
+        self.encode(head);
+        None
+    }
+
     /// Parse a payload produced by [`FrameCodec::encode`].
     fn decode(bytes: &[u8]) -> Option<Self>;
 
@@ -75,11 +86,16 @@ impl FrameCodec for Vec<u8> {
     }
 }
 
-/// Refcounted views pass through without copying in either direction on
-/// decode; encode necessarily appends (the frame buffer is owned).
+/// Refcounted views pass through without copying: decode keeps the
+/// delivered view, the split encode is all trailing view. Only the
+/// contiguous `encode` appends (the frame buffer is owned).
 impl FrameCodec for MpfaBytes {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(self);
+    }
+
+    fn encode_split(&self, _head: &mut Vec<u8>) -> Option<MpfaBytes> {
+        Some(self.clone())
     }
 
     fn decode(bytes: &[u8]) -> Option<Self> {
@@ -202,6 +218,10 @@ mod tests {
         let mut buf = Vec::new();
         v.encode(&mut buf);
         assert_eq!(buf, v);
+        // No trailing view: the default split is the contiguous encode.
+        let mut head = Vec::new();
+        assert!(v.encode_split(&mut head).is_none());
+        assert_eq!(head, v);
         assert_eq!(<Vec<u8> as FrameCodec>::decode(&buf), Some(v));
     }
 
@@ -212,6 +232,10 @@ mod tests {
         view.encode(&mut buf);
         assert_eq!(buf, vec![5u8, 6, 7, 8]);
         let ptr = view.as_ptr();
+        let mut head = Vec::new();
+        let tail = view.encode_split(&mut head).expect("all tail");
+        assert!(head.is_empty());
+        assert_eq!(tail.as_ptr(), ptr, "encode_split must not copy");
         let decoded = <MpfaBytes as FrameCodec>::decode_bytes(view).unwrap();
         assert_eq!(decoded.as_ptr(), ptr, "decode_bytes must not copy");
         // The borrowed-slice path still works (and copies).

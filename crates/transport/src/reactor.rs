@@ -15,9 +15,10 @@
 //!
 //! * **Sockets** (TCP/UDS data connections and the listener) are
 //!   registered `EPOLLIN | EPOLLRDHUP | EPOLLET`. Edge-triggered means
-//!   one event per readable *edge*: the consumer must read to
-//!   `WouldBlock` (or explicitly re-mark the bit when it stops early)
-//!   or the wakeup is lost — exactly the pathology the obs doctor's
+//!   one event per readable *edge*: the consumer must read until the
+//!   socket is drained — `WouldBlock` or, on a stream socket, a short
+//!   read — or explicitly re-mark the bit when it stops early, or the
+//!   wakeup is lost — exactly the pathology the obs doctor's
 //!   finding 11 and the DST `planted_lost_wakeup_bug` fixture cover.
 //! * **The eventfd** doubles as shutdown channel and software doorbell
 //!   ([`Reactor::wake`]): anyone can nudge the reactor thread, the
@@ -137,6 +138,8 @@ mod imp {
         pub const EPOLL_CTL_DEL: c_int = 2;
         pub const EPOLL_CTL_MOD: c_int = 3;
         pub const EPOLLIN: u32 = 0x001;
+        pub const EPOLLERR: u32 = 0x008;
+        pub const EPOLLHUP: u32 = 0x010;
         pub const EPOLLRDHUP: u32 = 0x2000;
         pub const EPOLLET: u32 = 1 << 31;
         pub const EPOLL_CLOEXEC: c_int = 0o2000000;
@@ -181,6 +184,11 @@ mod imp {
     pub struct Shared {
         /// Per-peer readiness bits (bit = peer rank).
         pub ready: ReadySet,
+        /// Peers whose socket reported a hang-up or error (set before
+        /// the matching `ready` bit). The pump stops reading at a short
+        /// read, which cannot show end-of-stream; these it reads until
+        /// `Ok(0)`.
+        pub hup: ReadySet,
         /// The listener has at least one pending accept.
         pub listener_ready: AtomicBool,
         /// Some pre-hello socket became readable.
@@ -213,6 +221,7 @@ mod imp {
             }
             let shared = Arc::new(Shared {
                 ready: ReadySet::new(ranks),
+                hup: ReadySet::new(ranks),
                 listener_ready: AtomicBool::new(false),
                 pending_ready: AtomicBool::new(false),
                 shutdown: AtomicBool::new(false),
@@ -341,6 +350,10 @@ mod imp {
                         published += 1;
                     }
                     rank => {
+                        let gone = sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR;
+                        if ev.events & gone != 0 {
+                            shared.hup.mark(rank as usize);
+                        }
                         if shared.ready.mark(rank as usize) {
                             counters
                                 .reactor_ready_pending
@@ -371,6 +384,8 @@ mod imp {
     pub struct Shared {
         /// Per-peer readiness bits (bit = peer rank).
         pub ready: ReadySet,
+        /// Peers whose socket reported a hang-up or error.
+        pub hup: ReadySet,
         /// The listener has at least one pending accept.
         pub listener_ready: AtomicBool,
         /// Some pre-hello socket became readable.

@@ -12,12 +12,41 @@
 //! [payload_len: u32 LE][src_ep: u32 LE][dst_ep: u32 LE][wire_bytes: u32 LE][payload]
 //! ```
 //!
-//! a 16-byte header followed by `payload_len` bytes produced by the
-//! message type's [`FrameCodec`] impl. Sockets are nonblocking, so both
-//! sides must tolerate partial reads and writes: the receiver
-//! accumulates into a per-peer reassembly buffer and only parses
-//! complete frames; the sender keeps a per-peer TX queue with a byte
-//! offset into the front frame.
+//! a 16-byte header followed by `payload_len` (at most
+//! [`MAX_FRAME_PAYLOAD`]) bytes produced by the message type's
+//! [`FrameCodec`] impl. Sockets are nonblocking, so both sides tolerate
+//! partial reads and writes, and a message costs two syscalls and one
+//! user-space copy:
+//!
+//! * **TX.** A queued frame is a *head* (frame header plus the
+//!   message's fixed fields, in a recycled buffer) and a *tail* (the
+//!   message's trailing payload view, queued as it is —
+//!   [`FrameCodec::encode_split`]). `flush` hands as many queued heads
+//!   and tails as fit one iovec batch to a single `writev`; a per-peer
+//!   byte offset into the front frame resumes a write that ended
+//!   inside a head or a tail.
+//! * **RX.** Reads land in one 64 KiB staging buffer per pumping
+//!   thread. Frames that are complete in it are copied out (the one
+//!   copy), and only the incomplete tail a read ends in — part of a
+//!   header or of a small frame — is carried per peer. For an
+//!   incomplete *bulk* frame (16 KiB of payload or more) what has
+//!   arrived moves into a pooled buffer of the payload's size and the
+//!   rest is read straight into that buffer by a `readv` over [frame
+//!   remainder, staging], so finishing the frame and fetching what
+//!   follows it is one syscall and the bulk is not copied again.
+//! * **Short read means drained.** A `read` on a stream socket that
+//!   returns fewer bytes than it asked for has emptied the socket
+//!   (epoll(7), edge-triggered Q&A 9), so no trailing `EAGAIN` read is
+//!   issued; the same holds for a short `writev` and a full socket
+//!   buffer. The one thing a short read cannot show is end-of-stream,
+//!   so the reactor also publishes hang-ups and a hung-up peer is read
+//!   until `Ok(0)`.
+//!
+//! A header that announces more than [`MAX_FRAME_PAYLOAD`], addresses
+//! a foreign endpoint or names a source endpoint of another rank, and
+//! a payload that does not decode, are protocol violations: the
+//! connection is dropped and the peer takes the ordinary lost-connection
+//! path below. Bytes from the wire never panic the receiver.
 //!
 //! ## Connection topology
 //!
@@ -52,8 +81,9 @@
 //! per sweep. `MPFA_REACTOR=0` (or a non-Linux host) falls back to the
 //! legacy full-scan pump with identical semantics.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -62,7 +92,7 @@ use mpfa_core::sync::Mutex;
 use mpfa_core::wtime;
 use mpfa_fabric::{Envelope, Path, TxHandle};
 
-use crate::bytes::MpfaBytes;
+use crate::bytes::{BufPool, MpfaBytes};
 use crate::codec::FrameCodec;
 use crate::reactor::{reactor_enabled, Reactor, ReadySet};
 use crate::{Transport, TransportKind};
@@ -76,6 +106,89 @@ fn count_syscalls(n: u64) {
 
 /// Frame header size in bytes.
 pub const FRAME_HEADER: usize = 16;
+
+/// Largest frame payload the engine sends or believes: `send` asserts
+/// it, and a received header announcing more drops the connection. The
+/// receiver sizes a buffer from the header, so the length has to be
+/// bounded before it is trusted; 64 MiB is a thousand times the MPI
+/// layer's largest frame (one 64 KiB eager payload or rendezvous chunk).
+pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
+
+/// Size of the per-thread RX staging buffer: the most one `read` takes.
+const STAGING: usize = 64 * 1024;
+
+/// Most slices one `writev` gathers: the heads and tails of 32 frames.
+const TX_IOV: usize = 64;
+
+/// An incomplete frame with at least this much payload is received
+/// straight into a pooled buffer of its own; a smaller one is carried
+/// over to the next read in `rx_tail`.
+const BULK_MIN: usize = 16 * 1024;
+
+/// Idle buffers each of the two pools retains.
+const POOL_IDLE: usize = 32;
+
+thread_local! {
+    /// Where socket reads land: one buffer per pumping thread, shared
+    /// by every peer and transport that thread pumps, zeroed once.
+    static RX_STAGING: RefCell<Vec<u8>> = RefCell::new(vec![0; STAGING]);
+}
+
+/// The four little-endian `u32` words in front of every frame.
+#[derive(Clone, Copy)]
+struct FrameHdr {
+    plen: usize,
+    src: usize,
+    dst: usize,
+    wire_bytes: usize,
+}
+
+impl FrameHdr {
+    /// Write the header into the first [`FRAME_HEADER`] bytes of `out`.
+    fn put(&self, out: &mut [u8]) {
+        let words = [self.plen, self.src, self.dst, self.wire_bytes];
+        for (w, b) in words.into_iter().zip(out.chunks_exact_mut(4)) {
+            b.copy_from_slice(&(w as u32).to_le_bytes());
+        }
+    }
+
+    /// Parse the first [`FRAME_HEADER`] bytes of `h`.
+    fn parse(h: &[u8]) -> FrameHdr {
+        let word = |i: usize| {
+            u32::from_le_bytes(h[4 * i..4 * i + 4].try_into().expect("4 bytes")) as usize
+        };
+        FrameHdr {
+            plen: word(0),
+            src: word(1),
+            dst: word(2),
+            wire_bytes: word(3),
+        }
+    }
+}
+
+/// One queued outbound frame.
+struct TxFrame {
+    /// Frame header plus the message's fixed fields (recycled buffer).
+    head: Vec<u8>,
+    /// The message's trailing payload view, uncopied.
+    tail: Option<MpfaBytes>,
+}
+
+impl TxFrame {
+    fn len(&self) -> usize {
+        self.head.len() + self.tail.as_ref().map_or(0, |t| t.len())
+    }
+}
+
+/// An inbound bulk frame (payload of [`BULK_MIN`] or more) whose
+/// header has arrived and whose payload is still coming: the rest is
+/// read straight into `buf`.
+struct RxFrame {
+    hdr: FrameHdr,
+    /// Pooled; exactly `hdr.plen` bytes, the first `filled` received.
+    buf: Vec<u8>,
+    filled: usize,
+}
 
 /// Tuning knobs for the wire engine.
 #[derive(Debug, Clone, Copy)]
@@ -190,13 +303,16 @@ struct Peer<S> {
     dialer: bool,
     state: PeerState<S>,
     /// Outbound frames, oldest first.
-    txq: VecDeque<Vec<u8>>,
+    txq: VecDeque<TxFrame>,
     /// Bytes of `txq.front()` already written to the socket.
     tx_off: usize,
     /// Unsent bytes across the whole queue.
     txq_bytes: usize,
-    /// Partial-frame reassembly buffer.
-    rx_buf: Vec<u8>,
+    /// The incomplete header or small frame the last read ended in.
+    rx_tail: Vec<u8>,
+    /// The incomplete bulk frame being received; `rx_tail` is empty
+    /// while set.
+    rx_frame: Option<RxFrame>,
     /// Dialer: earliest time of the next dial. Acceptor (after a lost
     /// connection): deadline for the peer to come back before being
     /// declared dead.
@@ -207,14 +323,19 @@ struct Peer<S> {
     injected: bool,
     /// Whether a connection to this peer ever succeeded.
     ever_connected: bool,
-    /// Recycled frame buffers: flushed frames come back here and the
-    /// next `send` encodes into one instead of allocating a fresh
-    /// `Vec<u8>` per frame.
-    free: Vec<Vec<u8>>,
 }
 
-/// Max recycled frame buffers retained per peer.
-const FRAME_FREELIST: usize = 32;
+impl<S> Peer<S> {
+    /// The connection is gone or replaced: partial frames of the old
+    /// one are void on both sides. The front TX frame goes out again
+    /// from its first byte; a half-received frame is forgotten.
+    fn void_partials(&mut self) {
+        self.rx_tail.clear();
+        self.rx_frame = None;
+        self.txq_bytes += self.tx_off;
+        self.tx_off = 0;
+    }
+}
 
 struct RxLane<M> {
     q: Mutex<VecDeque<Envelope<M>>>,
@@ -261,6 +382,10 @@ struct WireInner<M, F: SockFamily> {
     /// Peers needing connection attention: an initial or retried dial,
     /// or an acceptor-side grace deadline after a lost connection.
     conn_dirty: ReadySet,
+    /// Recycled TX frame heads.
+    heads: Arc<BufPool>,
+    /// Buffers large incomplete frames are received into.
+    frames: Arc<BufPool>,
 }
 
 impl<M, F: SockFamily> Drop for WireInner<M, F> {
@@ -313,12 +438,12 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
                     txq: VecDeque::new(),
                     tx_off: 0,
                     txq_bytes: 0,
-                    rx_buf: Vec::new(),
+                    rx_tail: Vec::new(),
+                    rx_frame: None,
                     next_retry: 0.0,
                     attempts: 0,
                     injected: false,
                     ever_connected: false,
-                    free: Vec::new(),
                 })
             })
             .collect();
@@ -353,6 +478,8 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
                 reactor,
                 tx_dirty: ReadySet::new(ranks),
                 conn_dirty,
+                heads: BufPool::new(POOL_IDLE),
+                frames: BufPool::new(POOL_IDLE),
             }),
         }
     }
@@ -500,12 +627,17 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
             }
             touched += 1;
             moved |= self.flush(r, &mut p);
-            let (m, drained) = self.read_socket(r, &mut p);
+            let hup = sh.hup.take(r);
+            let (m, drained) = self.read_socket(r, &mut p, hup);
             moved |= m;
-            if !drained && matches!(p.state, PeerState::Connected(_)) {
-                // The bounded read stopped before WouldBlock: the ET
-                // edge is consumed, so the readiness bit must come back
-                // by hand — clearing it here would lose the wakeup.
+            if !drained {
+                // The bounded read stopped before the socket was
+                // drained: the ET edge is consumed, so the readiness
+                // bit must come back by hand — clearing it here would
+                // lose the wakeup (and with it a pending hang-up).
+                if hup {
+                    sh.hup.mark(r);
+                }
                 if sh.ready.mark(r) {
                     counters
                         .reactor_ready_pending
@@ -618,11 +750,8 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
             if matches!(p.state, PeerState::Dead) {
                 continue;
             }
-            // A reconnect replaces whatever was there; both sides'
-            // partial frames from the old connection are void.
-            p.rx_buf.clear();
-            p.txq_bytes += p.tx_off;
-            p.tx_off = 0;
+            // A reconnect replaces whatever was there.
+            p.void_partials();
             let was_connected = matches!(p.state, PeerState::Connected(_));
             let fd = F::stream_fd(&sock);
             p.state = PeerState::Connected(sock);
@@ -675,10 +804,9 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
                 self.inner.connected.fetch_sub(1, Ordering::Relaxed);
             }
             p.state = PeerState::Dead;
+            p.void_partials();
             p.txq.clear();
-            p.tx_off = 0;
             p.txq_bytes = 0;
-            p.rx_buf.clear();
             // A dead peer needs no further attention of any kind.
             // (Dropping the socket closed its fd, which also removed it
             // from the reactor's epoll set.)
@@ -698,9 +826,7 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
             self.inner.connected.fetch_sub(1, Ordering::Relaxed);
         }
         p.state = PeerState::Idle;
-        p.rx_buf.clear();
-        p.txq_bytes += p.tx_off;
-        p.tx_off = 0;
+        p.void_partials();
         p.attempts = 0;
         // Both the dialer's retry timer and the acceptor's grace
         // deadline are checked on the connection-attention path.
@@ -737,9 +863,7 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
                     self.note_dial_failure(r, p);
                     return true;
                 }
-                p.rx_buf.clear();
-                p.txq_bytes += p.tx_off;
-                p.tx_off = 0;
+                p.void_partials();
                 let fd = F::stream_fd(&sock);
                 p.state = PeerState::Connected(sock);
                 p.attempts = 0;
@@ -789,39 +913,55 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
             }
             PeerState::Connected(_) => {
                 let mut moved = self.flush(r, &mut p);
-                moved |= self.read_socket(r, &mut p).0;
+                moved |= self.read_socket(r, &mut p, false).0;
                 moved
             }
         }
     }
 
-    /// Write queued frames until the socket would block.
+    /// Write queued frames until the queue is empty or the socket is
+    /// full: each `writev` gathers the unsent part of the front frame
+    /// and as many whole frames behind it as fit one batch.
     fn flush(&self, r: usize, p: &mut Peer<F::Stream>) -> bool {
         let mut moved = false;
-        while let Some(front) = p.txq.front() {
-            let off = p.tx_off;
+        while !p.txq.is_empty() {
             let PeerState::Connected(sock) = &mut p.state else {
                 break;
             };
+            let mut iov = [IoSlice::new(&[]); TX_IOV];
+            let (mut parts, mut want) = (0, 0);
+            // Only the front frame can be partly written.
+            let mut skip = p.tx_off;
+            for f in p.txq.iter().take(TX_IOV / 2) {
+                for part in [&f.head[..], f.tail.as_deref().unwrap_or_default()] {
+                    let sent = skip.min(part.len());
+                    skip -= sent;
+                    if sent < part.len() {
+                        iov[parts] = IoSlice::new(&part[sent..]);
+                        parts += 1;
+                        want += part.len() - sent;
+                    }
+                }
+            }
             count_syscalls(1);
-            let res = sock.write(&front[off..]);
-            match res {
+            match sock.write_vectored(&iov[..parts]) {
                 Ok(0) => {
                     self.disconnect(r, p);
                     break;
                 }
                 Ok(n) => {
                     moved = true;
-                    p.tx_off += n;
                     p.txq_bytes -= n;
+                    p.tx_off += n;
                     mpfa_obs::global_counters().record_wire_tx(n as u64);
-                    if p.tx_off == p.txq.front().map_or(0, |f| f.len()) {
-                        if let Some(done) = p.txq.pop_front() {
-                            if p.free.len() < FRAME_FREELIST {
-                                p.free.push(done);
-                            }
-                        }
-                        p.tx_off = 0;
+                    while p.txq.front().is_some_and(|f| p.tx_off >= f.len()) {
+                        let done = p.txq.pop_front().expect("front checked");
+                        p.tx_off -= done.len();
+                        self.inner.heads.put(done.head);
+                    }
+                    if n < want {
+                        // Short write: the socket buffer is full.
+                        break;
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -835,91 +975,149 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
         moved
     }
 
-    /// Read until the socket would block (bounded per pass), parsing
-    /// complete frames into the local RX lanes. Returns `(moved,
+    /// Read until the socket is drained (bounded per pass), delivering
+    /// complete frames into the local RX lanes. A short read means
+    /// drained, so no trailing `EAGAIN` read follows it — except with
+    /// `to_eof`, set for a peer whose socket reported a hang-up, since
+    /// end-of-stream only ever shows as `Ok(0)`. Returns `(moved,
     /// drained)`: `drained` is false only when the per-pass bound was
     /// hit with the socket still possibly readable — under
     /// edge-triggered wakeups the caller must re-mark the peer's
     /// readiness bit or the remaining bytes are stranded.
-    fn read_socket(&self, src_rank: usize, p: &mut Peer<F::Stream>) -> (bool, bool) {
-        let mut moved = false;
-        let mut buf = [0u8; 64 * 1024];
-        for _ in 0..64 {
-            let res = match &mut p.state {
-                PeerState::Connected(sock) => {
-                    count_syscalls(1);
-                    sock.read(&mut buf)
-                }
-                _ => return (moved, true),
-            };
-            match res {
-                Ok(0) => {
+    fn read_socket(&self, src_rank: usize, p: &mut Peer<F::Stream>, to_eof: bool) -> (bool, bool) {
+        RX_STAGING.with_borrow_mut(|staging| {
+            let mut moved = false;
+            for _ in 0..64 {
+                let Peer {
+                    state: PeerState::Connected(sock),
+                    rx_tail,
+                    rx_frame,
+                    ..
+                } = p
+                else {
+                    return (moved, true);
+                };
+                // What the last read ended in goes in front of this
+                // one, so the parser sees one contiguous run.
+                let carry = rx_tail.len();
+                staging[..carry].copy_from_slice(rx_tail);
+                count_syscalls(1);
+                let (res, want) = match rx_frame {
+                    Some(f) => {
+                        let rest = &mut f.buf[f.filled..];
+                        let want = rest.len() + STAGING;
+                        let mut iov = [IoSliceMut::new(rest), IoSliceMut::new(staging)];
+                        (sock.read_vectored(&mut iov), want)
+                    }
+                    None => (sock.read(&mut staging[carry..]), STAGING - carry),
+                };
+                let n = match res {
+                    Ok(n) if n > 0 => n,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return (moved, true),
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    // End of stream or a socket error.
+                    _ => {
+                        self.disconnect(src_rank, p);
+                        return (moved, true);
+                    }
+                };
+                moved = true;
+                mpfa_obs::global_counters().record_wire_rx(n as u64);
+                // `staged`: how much of `staging` now holds unparsed bytes.
+                let mut ok = true;
+                let staged = match rx_frame.as_mut() {
+                    None => {
+                        rx_tail.clear();
+                        carry + n
+                    }
+                    Some(f) if n < f.buf.len() - f.filled => {
+                        f.filled += n;
+                        0
+                    }
+                    Some(f) => {
+                        let staged = n - (f.buf.len() - f.filled);
+                        let f = rx_frame.take().expect("matched Some");
+                        ok = self.deliver_frame(f.hdr, self.inner.frames.freeze(f.buf));
+                        staged
+                    }
+                };
+                if !(ok && self.parse_frames(src_rank, p, &staging[..staged])) {
+                    // Protocol violation: drop the connection.
                     self.disconnect(src_rank, p);
                     return (moved, true);
                 }
-                Ok(n) => {
-                    moved = true;
-                    let counters = mpfa_obs::global_counters();
-                    counters.record_wire_rx(n as u64);
-                    // Reassembly copy: socket bytes land in the
-                    // per-peer buffer before frames can be parsed out.
-                    counters.record_bytes_copied(n as u64);
-                    p.rx_buf.extend_from_slice(&buf[..n]);
-                    self.parse_frames(src_rank, p);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return (moved, true),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.disconnect(src_rank, p);
+                if n < want && !to_eof {
                     return (moved, true);
                 }
             }
-        }
-        (moved, false)
+            (moved, false)
+        })
     }
 
-    fn parse_frames(&self, src_rank: usize, p: &mut Peer<F::Stream>) {
-        let mut pos = 0;
-        while p.rx_buf.len() - pos >= FRAME_HEADER {
-            let h = &p.rx_buf[pos..pos + FRAME_HEADER];
-            let plen = u32::from_le_bytes(h[0..4].try_into().expect("4")) as usize;
-            let src = u32::from_le_bytes(h[4..8].try_into().expect("4")) as usize;
-            let dst = u32::from_le_bytes(h[8..12].try_into().expect("4")) as usize;
-            let wire_bytes = u32::from_le_bytes(h[12..16].try_into().expect("4")) as usize;
-            if p.rx_buf.len() - pos < FRAME_HEADER + plen {
-                break;
+    /// Deliver every complete frame in `bytes` (what a read left in the
+    /// staging buffer, starting at a frame boundary) and keep what is
+    /// incomplete: a bulk frame moves into a pooled buffer of its own
+    /// that the next reads fill directly, anything smaller is carried
+    /// in `rx_tail`. Returns false on a protocol violation.
+    fn parse_frames(&self, src_rank: usize, p: &mut Peer<F::Stream>, mut bytes: &[u8]) -> bool {
+        let counters = mpfa_obs::global_counters();
+        let eps = self.inner.eps_per_rank;
+        while bytes.len() >= FRAME_HEADER {
+            let hdr = FrameHdr::parse(bytes);
+            // Believe a header only if its length is inside the frame
+            // bound (a buffer is about to be sized from it), it
+            // addresses this rank and it names a source endpoint of the
+            // rank this connection belongs to.
+            if hdr.plen > MAX_FRAME_PAYLOAD
+                || hdr.dst / eps != self.inner.my_rank
+                || hdr.src / eps != src_rank
+            {
+                return false;
             }
-            let payload = &p.rx_buf[pos + FRAME_HEADER..pos + FRAME_HEADER + plen];
-            pos += FRAME_HEADER + plen;
-            let base = self.inner.my_rank * self.inner.eps_per_rank;
-            assert!(
-                dst >= base && dst < base + self.inner.eps_per_rank,
-                "frame from rank {src_rank} addressed to foreign endpoint {dst}"
-            );
-            assert_eq!(
-                src / self.inner.eps_per_rank,
-                src_rank,
-                "frame source endpoint {src} does not match connection rank {src_rank}"
-            );
-            // Materialize the payload out of the reassembly buffer (a
-            // counted copy — the buffer is about to be drained) and
-            // decode through the slice path so messages with byte
-            // fields slice the view instead of copying again.
-            mpfa_obs::global_counters().record_bytes_copied(plen as u64);
-            let msg = M::decode_bytes(MpfaBytes::copy_from(payload)).unwrap_or_else(|| {
-                panic!("undecodable {plen}-byte frame payload from rank {src_rank}")
-            });
-            self.deliver(
-                Envelope {
-                    src,
-                    dst,
-                    wire_bytes,
-                    msg,
-                },
-                Path::Net,
-            );
+            let body = &bytes[FRAME_HEADER..];
+            if body.len() < hdr.plen {
+                if hdr.plen < BULK_MIN {
+                    break;
+                }
+                let mut buf = self.inner.frames.take_sized(hdr.plen);
+                buf[..body.len()].copy_from_slice(body);
+                counters.record_bytes_copied(body.len() as u64);
+                p.rx_frame = Some(RxFrame {
+                    hdr,
+                    buf,
+                    filled: body.len(),
+                });
+                return true;
+            }
+            // Complete in staging: the one counted copy of the RX path;
+            // `decode_bytes` slices the owned view from here on.
+            counters.record_bytes_copied(hdr.plen as u64);
+            if !self.deliver_frame(hdr, MpfaBytes::copy_from(&body[..hdr.plen])) {
+                return false;
+            }
+            bytes = &body[hdr.plen..];
         }
-        p.rx_buf.drain(..pos);
+        counters.record_bytes_copied(bytes.len() as u64);
+        p.rx_tail.extend_from_slice(bytes);
+        true
+    }
+
+    /// Decode one frame's payload and queue it on its endpoint's lane.
+    /// Returns false when the payload does not decode.
+    fn deliver_frame(&self, hdr: FrameHdr, payload: MpfaBytes) -> bool {
+        let Some(msg) = M::decode_bytes(payload) else {
+            return false;
+        };
+        self.deliver(
+            Envelope {
+                src: hdr.src,
+                dst: hdr.dst,
+                wire_bytes: hdr.wire_bytes,
+                msg,
+            },
+            Path::Net,
+        );
+        true
     }
 }
 
@@ -967,26 +1165,33 @@ impl<M: FrameCodec, F: SockFamily> Transport<M> for WireTransport<M, F> {
             self.inner.tx_failed.fetch_add(1, Ordering::Relaxed);
             return TxHandle::failed();
         }
-        // Encode into a recycled frame buffer; flushed frames return to
-        // the peer's free list, so the steady-state TX path allocates
-        // nothing. The staging encode is a counted payload copy.
-        let mut frame = p.free.pop().unwrap_or_default();
-        frame.clear();
-        frame.resize(FRAME_HEADER, 0);
-        msg.encode(&mut frame);
-        let plen = frame.len() - FRAME_HEADER;
-        assert!(plen <= u32::MAX as usize, "frame payload too large");
-        counters.record_bytes_copied(plen as u64);
-        frame[0..4].copy_from_slice(&(plen as u32).to_le_bytes());
-        frame[4..8].copy_from_slice(&(src_ep as u32).to_le_bytes());
-        frame[8..12].copy_from_slice(&(dst_ep as u32).to_le_bytes());
-        frame[12..16].copy_from_slice(&(wire_bytes as u32).to_le_bytes());
-        p.txq_bytes += frame.len();
-        p.txq.push_back(frame);
+        // Queue the frame as a head (frame header + the message's fixed
+        // fields, in a recycled buffer) and the message's payload view;
+        // only what went into the head was copied.
+        let mut head = self.inner.heads.take();
+        head.resize(FRAME_HEADER, 0);
+        let tail = msg.encode_split(&mut head);
+        let fixed = head.len() - FRAME_HEADER;
+        let plen = fixed + tail.as_ref().map_or(0, |t| t.len());
+        assert!(
+            plen <= MAX_FRAME_PAYLOAD,
+            "frame payload of {plen} bytes exceeds MAX_FRAME_PAYLOAD"
+        );
+        counters.record_bytes_copied(fixed as u64);
+        let hdr = FrameHdr {
+            plen,
+            src: src_ep,
+            dst: dst_ep,
+            wire_bytes,
+        };
+        hdr.put(&mut head);
+        p.txq_bytes += FRAME_HEADER + plen;
+        p.txq.push_back(TxFrame { head, tail });
         if matches!(p.state, PeerState::Connected(_)) {
             // Opportunistic flush, with bounded extra effort when the
             // backlog is over the soft cap (backpressure without ever
-            // blocking indefinitely).
+            // blocking indefinitely). The peer lock is released around
+            // each yield so other senders and the pump are not held up.
             self.flush(dst_rank, &mut p);
             let mut spins = 0;
             while p.txq_bytes > self.inner.opts.tx_backlog_soft
@@ -994,7 +1199,9 @@ impl<M: FrameCodec, F: SockFamily> Transport<M> for WireTransport<M, F> {
                 && spins < 1000
             {
                 spins += 1;
+                drop(p);
                 std::thread::yield_now();
+                p = self.inner.peers[dst_rank].lock();
                 self.flush(dst_rank, &mut p);
             }
         }
@@ -1196,12 +1403,16 @@ pub fn loopback_mesh<M: FrameCodec>(
 }
 
 #[cfg(test)]
+#[path = "wire_faults.rs"]
+mod faults;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     type Msg = Vec<u8>;
 
-    fn fast_opts() -> WireOpts {
+    pub(super) fn fast_opts() -> WireOpts {
         WireOpts {
             retry_base: 1e-4,
             retry_max: 2e-3,
@@ -1456,11 +1667,11 @@ mod tests {
             assert!(wtime() < deadline, "queue never drained to zero");
         }
         assert_eq!(t1.queued_tx_bytes(), 0);
-        // Satellite check: flushed frames were recycled, so the next
-        // send encodes into a reused buffer instead of allocating.
+        // Flushed frame heads were recycled, so the next send encodes
+        // into a reused buffer instead of allocating.
         assert!(
-            !t1.inner.peers[0].lock().free.is_empty(),
-            "flushed frames should land on the free list"
+            t1.inner.heads.idle() > 0,
+            "flushed frame heads should return to the pool"
         );
     }
 

@@ -1,7 +1,9 @@
 //! Shared harness for the integration tests.
 #![allow(dead_code)] // each test binary uses a subset of the helpers
 
+use mpfa::mpi::wire::WireMsg;
 use mpfa::mpi::{Comm, Proc, World, WorldConfig};
+use mpfa::transport::{loopback_mesh, TransportKind, WireOpts};
 
 /// Run `f(proc)` on one thread per rank; collect results in rank order.
 pub fn run_ranks<R: Send>(cfg: WorldConfig, f: impl Fn(Proc) -> R + Send + Sync) -> Vec<R> {
@@ -75,6 +77,23 @@ impl Coop {
         Coop {
             procs: World::init(cfg),
         }
+    }
+
+    /// The same, over an in-process mesh of a real transport (`kind`
+    /// is not `Sim`): every rank's sockets or rings, one driver thread.
+    pub fn wire(kind: TransportKind, ranks: usize) -> Coop {
+        let cfg = WorldConfig {
+            transport: kind,
+            ..WorldConfig::instant(ranks)
+        };
+        let mesh = loopback_mesh::<WireMsg>(kind, ranks, cfg.max_vcis, WireOpts::default())
+            .expect("loopback mesh");
+        let procs = mesh
+            .into_iter()
+            .enumerate()
+            .map(|(rank, port)| World::init_with_transport(cfg.clone(), rank, port))
+            .collect();
+        Coop { procs }
     }
 
     pub fn comms(&self) -> Vec<Comm> {
