@@ -2,10 +2,10 @@
 //!
 //! `benchmark/` measures these on demand; this test makes a regression
 //! fail `cargo test`. One driver thread owns every rank of a loopback
-//! TCP world and sweeps them round-robin — the benchmark's load model —
-//! so syscalls, messages and copied bytes per op do not depend on
-//! timing. A PR that makes the datapath cheaper lowers [`BUDGET`] in the
-//! same change; nothing can raise a row silently.
+//! TCP or shm world and sweeps them round-robin — the benchmark's load
+//! model — so syscalls, messages and copied bytes per op do not depend
+//! on timing. A PR that makes the datapath cheaper lowers [`BUDGET`] in
+//! the same change; nothing can raise a row silently.
 //!
 //! Its own test binary, and a single `#[test]`: the counters are
 //! process-global, so any concurrent traffic would pollute the windows.
@@ -39,6 +39,7 @@ impl Limit {
 /// Per-op budget of one workload.
 struct Budget {
     name: &'static str,
+    kind: TransportKind,
     syscalls: Limit,
     msgs: Limit,
     eager: Limit,
@@ -49,10 +50,13 @@ struct Budget {
 
 /// One row per workload. History: PR 12's ledger read 3 / 72 / 792
 /// syscalls and 3.02 / 15.1 / 12.0 copies; the writev + staged-RX byte
-/// path brought them to the values below.
-const BUDGET: [Budget; 3] = [
+/// path brought the TCP rows to the values below. The shm rows make no
+/// counted syscall, a small frame is copied out of the ring once, and a
+/// 1 MiB message is one eager frame received as a ring view.
+const BUDGET: [Budget; 5] = [
     Budget {
         name: "pingpong 2 ranks x 4 KiB",
+        kind: TransportKind::Tcp,
         syscalls: Exactly(2.0),
         msgs: Exactly(1.0),
         eager: Exactly(1.0),
@@ -61,6 +65,7 @@ const BUDGET: [Budget; 3] = [
     },
     Budget {
         name: "iallreduce 8 ranks x 64 B",
+        kind: TransportKind::Tcp,
         syscalls: Exactly(48.0),
         msgs: Exactly(24.0),
         eager: Exactly(24.0),
@@ -69,11 +74,30 @@ const BUDGET: [Budget; 3] = [
     },
     Budget {
         name: "iallreduce 8 ranks x 512 KiB",
+        kind: TransportKind::Tcp,
         syscalls: AtMost(792.0),
         msgs: Exactly(432.0),
         eager: Exactly(0.0),
         rndv: Exactly(24.0),
         copies: AtMost(6.1),
+    },
+    Budget {
+        name: "shm pingpong 2 ranks x 32 B",
+        kind: TransportKind::Shm,
+        syscalls: Exactly(0.0),
+        msgs: Exactly(1.0),
+        eager: Exactly(1.0),
+        rndv: Exactly(0.0),
+        copies: Exactly(1.53125),
+    },
+    Budget {
+        name: "shm pingpong 2 ranks x 1 MiB",
+        kind: TransportKind::Shm,
+        syscalls: Exactly(0.0),
+        msgs: Exactly(1.0),
+        eager: Exactly(1.0),
+        rndv: Exactly(0.0),
+        copies: Exactly(0.0),
     },
 ];
 
@@ -127,23 +151,24 @@ fn check(budget: &Budget, payload_per_op: usize, warm: usize, ops: usize, mut op
     expect("copies per payload byte", &budget.copies, copies);
     // The scan pump (MPFA_REACTOR=0) reads every peer on every pass, so
     // its syscall count follows the sweep count, not the message count.
-    if reactor_enabled() {
+    // Rings make no syscalls under either pump.
+    if reactor_enabled() || budget.kind == TransportKind::Shm {
         expect("syscalls", &budget.syscalls, per_op(|c| c.syscalls));
     }
 }
 
-fn pingpong(budget: &Budget) {
-    const LEN: usize = 4096;
-    let world = Coop::wire(TransportKind::Tcp, 2);
+/// Ping-pong of `len` bytes that re-sends the received buffer.
+fn pingpong(budget: &Budget, len: usize, ops: usize) {
+    let world = Coop::wire(budget.kind, 2);
     let comms = world.comms();
     let mut ball = Some(MpfaBytes::from(
-        (0..LEN).map(|i| (i % 251) as u8).collect::<Vec<u8>>(),
+        (0..len).map(|i| (i % 251) as u8).collect::<Vec<u8>>(),
     ));
     let want = ball.clone();
     let mut src = 0;
-    check(budget, LEN, 16, 200, || {
+    check(budget, len, 16, ops, || {
         let dst = 1 - src;
-        let recv = comms[dst].irecv_bytes(LEN, src as i32, 7).unwrap();
+        let recv = comms[dst].irecv_bytes(len, src as i32, 7).unwrap();
         let send = comms[src]
             .isend_bytes(ball.take().unwrap(), dst as i32, 7)
             .unwrap();
@@ -157,7 +182,7 @@ fn pingpong(budget: &Budget) {
 
 fn allreduce(budget: &Budget, elems: usize, warm: usize, ops: usize) {
     const RANKS: usize = 8;
-    let world = Coop::wire(TransportKind::Tcp, RANKS);
+    let world = Coop::wire(budget.kind, RANKS);
     let comms = world.comms();
     let contrib: Vec<Vec<u64>> = (0..RANKS as u64)
         .map(|r| (0..elems as u64).map(|i| i + r).collect())
@@ -178,7 +203,9 @@ fn allreduce(budget: &Budget, elems: usize, warm: usize, ops: usize) {
 
 #[test]
 fn per_op_counts_stay_inside_the_committed_budget() {
-    pingpong(&BUDGET[0]);
+    pingpong(&BUDGET[0], 4096, 200);
     allreduce(&BUDGET[1], 8, 8, 50);
     allreduce(&BUDGET[2], 64 * 1024, 2, 6);
+    pingpong(&BUDGET[3], 32, 200);
+    pingpong(&BUDGET[4], 1 << 20, 50);
 }
