@@ -21,9 +21,9 @@
 //!   wakeup is lost — exactly the pathology the obs doctor's
 //!   finding 11 and the DST `planted_lost_wakeup_bug` fixture cover.
 //! * **The eventfd** doubles as shutdown channel and software doorbell
-//!   ([`Reactor::wake`]): anyone can nudge the reactor thread, the
-//!   same role the futex doorbell plays for the shared-memory
-//!   transport's blocked consumers (`ShmTransport::wait_doorbell`).
+//!   ([`Reactor::wake`]): anyone can nudge the reactor thread. The
+//!   shared-memory transport has no fds and no reactor; its consumer
+//!   polls the ring tails.
 //!
 //! ## Fallback
 //!
