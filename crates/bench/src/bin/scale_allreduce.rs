@@ -329,9 +329,9 @@ fn main() {
     if cfg.smoke {
         if reactor_enabled() {
             // The flatness contract is about *socket* syscalls; the shm
-            // backend moves bytes through futex-doorbell rings and never
-            // touches the wire counters, so the guard runs on the
-            // socket-backed kinds only.
+            // backend moves bytes through polled rings and never touches
+            // the wire counters, so the guard runs on the socket-backed
+            // kinds only.
             for &kind in kinds.iter().filter(|&&k| k != TransportKind::Shm) {
                 syscall_flatness_guard(kind);
             }

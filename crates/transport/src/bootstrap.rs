@@ -594,14 +594,13 @@ fn establish_family<M: FrameCodec, F: SockFamily>(
 fn establish_shm<M: FrameCodec>(
     env: &BootEnv,
     eps_per_rank: usize,
-    opts: WireOpts,
 ) -> io::Result<Arc<dyn Transport<M>>> {
     let t0 = wtime();
     let seg_path = data_hint(TransportKind::Shm, &env.rendezvous, env.rank);
     let own = crate::shm::ShmSegmentOwner::create(&seg_path, env.ranks, eps_per_rank)?;
     let (table, mut rendezvous_conns) = rendezvous_table::<crate::uds::UdsFamily>(env, own.path())?;
     let transport: crate::shm::ShmTransport<M> =
-        crate::shm::ShmTransport::new(own, env.rank, table, opts)?;
+        crate::shm::ShmTransport::new(own, env.rank, table)?;
     ready_go_barrier::<crate::uds::UdsFamily>(env, &mut rendezvous_conns)?;
     mpfa_obs::global_counters().record_bootstrap_secs(wtime() - t0);
     Ok(Arc::new(transport))
@@ -629,7 +628,7 @@ pub fn establish<M: FrameCodec>(
             "unix domain sockets are not available on this platform",
         )),
         #[cfg(unix)]
-        TransportKind::Shm => establish_shm::<M>(env, eps_per_rank, opts),
+        TransportKind::Shm => establish_shm::<M>(env, eps_per_rank),
         #[cfg(not(unix))]
         TransportKind::Shm => Err(io::Error::new(
             io::ErrorKind::Unsupported,

@@ -4,18 +4,25 @@
 //! "the NIC" is — *"here 'NIC' loosely refers to either hardware
 //! operations or software emulations"*. Until now the repo had exactly
 //! one substrate, the in-process simulated `mpfa-fabric`. This crate
-//! turns the substrate into a trait, [`Transport`], and adds two real
-//! kernel-socket backends next to the simulation:
+//! turns the substrate into a trait, [`Transport`], and adds real
+//! backends next to the simulation:
 //!
-//! * **Sim** — [`sim::SimTransport`] wraps an existing [`Fabric`] with
-//!   zero behaviour change. (The blanket `impl Transport for Fabric`
-//!   means a bare fabric already *is* a transport.)
+//! * **Sim** — the blanket `impl Transport for Fabric` makes a bare
+//!   [`Fabric`] a transport with zero behaviour change;
+//!   [`sim::sim_rank_views`] adds a per-rank kill switch for chaos tests.
 //! * **TCP** — [`tcp::TcpTransport`]: localhost/LAN TCP with
-//!   length-prefixed framing, nonblocking sockets, per-peer TX
-//!   backpressure queues, and connect-timeout plus bounded
+//!   nonblocking sockets and connect-timeout plus bounded
 //!   exponential-backoff reconnect.
-//! * **UDS** — [`uds::UdsTransport`]: the same wire engine over Unix
+//! * **UDS** — [`uds::UdsTransport`]: the same socket link over Unix
 //!   domain sockets, as the intra-node fast path.
+//! * **Shm** — [`shm::ShmTransport`]: memory-mapped SPSC rings between
+//!   co-located processes, large payloads received as views into the
+//!   ring.
+//!
+//! The three byte transports share one frame engine (`frame.rs`): the
+//! frame header and its checks, delivery into per-endpoint lanes,
+//! same-rank loopback, dead-peer state and the per-peer TX queue. Each
+//! backend is only the link that moves the engine's frames.
 //!
 //! On top of the backends sit [`bootstrap`] (a PMI-style rendezvous:
 //! rank 0 listens, everyone exchanges a peer table, barrier on ready)
@@ -42,6 +49,7 @@ pub use mpfa_fabric::{Envelope, Fabric, Path, TxHandle};
 pub mod bootstrap;
 pub mod bytes;
 pub mod codec;
+mod frame;
 pub mod reactor;
 #[cfg(unix)]
 pub mod shm;
@@ -56,7 +64,7 @@ pub use codec::FrameCodec;
 pub use reactor::{reactor_enabled, Reactor, ReadySet};
 #[cfg(unix)]
 pub use shm::ShmTransport;
-pub use sim::{sim_rank_views, SimRankTransport, SimTransport};
+pub use sim::{sim_rank_views, SimRankTransport};
 pub use tcp::TcpTransport;
 #[cfg(unix)]
 pub use uds::UdsTransport;

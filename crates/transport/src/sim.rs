@@ -39,47 +39,6 @@ impl<M: Send + 'static> Transport<M> for Fabric<M> {
     }
 }
 
-/// A named wrapper around a [`Fabric`] for call sites that want to talk
-/// about "the sim transport" rather than the raw fabric. It adds
-/// nothing; it forwards.
-pub struct SimTransport<M> {
-    fabric: Fabric<M>,
-}
-
-impl<M: Send + 'static> SimTransport<M> {
-    /// Wrap an existing fabric.
-    pub fn new(fabric: Fabric<M>) -> SimTransport<M> {
-        SimTransport { fabric }
-    }
-
-    /// The wrapped fabric.
-    pub fn fabric(&self) -> &Fabric<M> {
-        &self.fabric
-    }
-}
-
-impl<M: Send + 'static> Transport<M> for SimTransport<M> {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Sim
-    }
-
-    fn endpoints(&self) -> usize {
-        self.fabric.config().ranks
-    }
-
-    fn send(&self, src_ep: usize, dst_ep: usize, msg: M, wire_bytes: usize) -> TxHandle {
-        Fabric::send(&self.fabric, src_ep, dst_ep, msg, wire_bytes)
-    }
-
-    fn poll(&self, ep: usize, path: Path, max: usize, out: &mut Vec<Envelope<M>>) -> usize {
-        self.fabric.poll_batch(ep, path, max, out)
-    }
-
-    fn queued(&self, ep: usize, path: Path) -> usize {
-        Fabric::queued(&self.fabric, ep, path)
-    }
-}
-
 /// Mesh-wide failure state shared by every rank's [`SimRankTransport`]
 /// view of one fabric: which ranks have been "killed" by the chaos
 /// harness. A process death is a global fact, so one board serves the
@@ -277,6 +236,15 @@ mod tests {
         assert_eq!(out[0].src, 0);
         // Visible through the fabric handle too: same queues.
         assert_eq!(Transport::<u32>::queued(&f, 1, Path::Net), 0);
+
+        // Same node: the fabric's shmem path applies through the trait.
+        let f: Fabric<u32> = Fabric::new(FabricConfig::instant_nodes(4, 2));
+        let t: Arc<dyn Transport<u32>> = Arc::new(f.clone());
+        t.send(0, 1, 9, 0);
+        out.clear();
+        assert_eq!(t.poll(1, Path::Shmem, 16, &mut out), 1);
+        assert_eq!(t.poll(1, Path::Net, 16, &mut out), 0);
+        assert_eq!(f.packets_shmem(), 1);
     }
 
     #[test]
@@ -305,17 +273,5 @@ mod tests {
         let mesh = sim_rank_views(f, 2, 1);
         assert!(!mesh[0].schedule_kill(0, 0.0));
         assert!(!mesh[0].schedule_kill(7, 0.0));
-    }
-
-    #[test]
-    fn sim_wrapper_forwards() {
-        let f: Fabric<u8> = Fabric::new(FabricConfig::instant_nodes(4, 2));
-        let t = SimTransport::new(f);
-        t.send(0, 1, 9, 0);
-        let mut out = Vec::new();
-        // Same node: the fabric's shmem path still applies.
-        assert_eq!(t.poll(1, Path::Shmem, 16, &mut out), 1);
-        assert_eq!(t.poll(1, Path::Net, 16, &mut out), 0);
-        assert_eq!(t.fabric().packets_shmem(), 1);
     }
 }

@@ -1,30 +1,20 @@
-//! The shared wire engine behind the TCP and UDS backends.
+//! The socket link behind the TCP and UDS backends.
 //!
 //! Both kernel-socket backends are the same state machine over a
-//! different address family, so the engine is generic over a small
+//! different address family, so the link is generic over a small
 //! [`SockFamily`] trait and the backends are one-page instantiations.
+//! Framing, delivery, same-rank loopback, peer death and the per-peer
+//! TX queue belong to the frame engine (`frame.rs`); this module moves
+//! the engine's frames through sockets.
 //!
-//! ## Framing
+//! ## Byte path
 //!
-//! Every packet crosses the socket as one length-prefixed frame:
+//! Sockets are nonblocking, so both sides tolerate partial reads and
+//! writes, and a message costs two syscalls and one user-space copy:
 //!
-//! ```text
-//! [payload_len: u32 LE][src_ep: u32 LE][dst_ep: u32 LE][wire_bytes: u32 LE][payload]
-//! ```
-//!
-//! a 16-byte header followed by `payload_len` (at most
-//! [`MAX_FRAME_PAYLOAD`]) bytes produced by the message type's
-//! [`FrameCodec`] impl. Sockets are nonblocking, so both sides tolerate
-//! partial reads and writes, and a message costs two syscalls and one
-//! user-space copy:
-//!
-//! * **TX.** A queued frame is a *head* (frame header plus the
-//!   message's fixed fields, in a recycled buffer) and a *tail* (the
-//!   message's trailing payload view, queued as it is —
-//!   [`FrameCodec::encode_split`]). `flush` hands as many queued heads
-//!   and tails as fit one iovec batch to a single `writev`; a per-peer
-//!   byte offset into the front frame resumes a write that ended
-//!   inside a head or a tail.
+//! * **TX.** `flush` hands as many queued frame heads and tails as fit
+//!   one iovec batch to a single `writev`; the queue's offset into its
+//!   front frame resumes a write that ended inside a head or a tail.
 //! * **RX.** Reads land in one 64 KiB staging buffer per pumping
 //!   thread. Frames that are complete in it are copied out (the one
 //!   copy), and only the incomplete tail a read ends in — part of a
@@ -42,11 +32,9 @@
 //!   so the reactor also publishes hang-ups and a hung-up peer is read
 //!   until `Ok(0)`.
 //!
-//! A header that announces more than [`MAX_FRAME_PAYLOAD`], addresses
-//! a foreign endpoint or names a source endpoint of another rank, and
-//! a payload that does not decode, are protocol violations: the
-//! connection is dropped and the peer takes the ordinary lost-connection
-//! path below. Bytes from the wire never panic the receiver.
+//! A frame the engine rejects (bad header or undecodable payload) is a
+//! protocol violation: the connection is dropped and the peer takes the
+//! ordinary lost-connection path below.
 //!
 //! ## Connection topology
 //!
@@ -64,13 +52,13 @@
 //! out the peer is marked **dead**: queued frames for it are dropped,
 //! [`crate::Transport::dead_peers`] goes nonzero, and the obs doctor's
 //! "transport partition" pathology fires. Frames that were fully
-//! written before a connection died may be lost — the engine restores
+//! written before a connection died may be lost — the link restores
 //! framing integrity across a reconnect (partial frames are discarded
 //! on both sides) but does not retransmit; see `docs/TRANSPORT.md`.
 //!
 //! ## Readiness reactor
 //!
-//! On Linux the engine runs event-driven (see [`crate::reactor`]): an
+//! On Linux the link runs event-driven (see [`crate::reactor`]): an
 //! epoll thread publishes per-peer readiness bits and a pump pass
 //! touches only (a) peers the reactor marked readable, (b) peers with
 //! queued TX bytes (`tx_dirty`), and (c) peers needing connection
@@ -82,7 +70,6 @@
 //! legacy full-scan pump with identical semantics.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -90,10 +77,11 @@ use std::time::Duration;
 
 use mpfa_core::sync::Mutex;
 use mpfa_core::wtime;
-use mpfa_fabric::{Envelope, Path, TxHandle};
+use mpfa_fabric::Envelope;
 
 use crate::bytes::{BufPool, MpfaBytes};
 use crate::codec::FrameCodec;
+use crate::frame::{FrameHdr, FrameTransport, Frames, Link, TxQueue, FRAME_HEADER};
 use crate::reactor::{reactor_enabled, Reactor, ReadySet};
 use crate::{Transport, TransportKind};
 
@@ -103,16 +91,6 @@ fn count_syscalls(n: u64) {
         .wire_syscalls
         .fetch_add(n, Ordering::Relaxed);
 }
-
-/// Frame header size in bytes.
-pub const FRAME_HEADER: usize = 16;
-
-/// Largest frame payload the engine sends or believes: `send` asserts
-/// it, and a received header announcing more drops the connection. The
-/// receiver sizes a buffer from the header, so the length has to be
-/// bounded before it is trusted; 64 MiB is a thousand times the MPI
-/// layer's largest frame (one 64 KiB eager payload or rendezvous chunk).
-pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 
 /// Size of the per-thread RX staging buffer: the most one `read` takes.
 const STAGING: usize = 64 * 1024;
@@ -125,59 +103,13 @@ const TX_IOV: usize = 64;
 /// over to the next read in `rx_tail`.
 const BULK_MIN: usize = 16 * 1024;
 
-/// Idle buffers each of the two pools retains.
+/// Idle bulk receive buffers the pool retains.
 const POOL_IDLE: usize = 32;
 
 thread_local! {
     /// Where socket reads land: one buffer per pumping thread, shared
     /// by every peer and transport that thread pumps, zeroed once.
     static RX_STAGING: RefCell<Vec<u8>> = RefCell::new(vec![0; STAGING]);
-}
-
-/// The four little-endian `u32` words in front of every frame.
-#[derive(Clone, Copy)]
-struct FrameHdr {
-    plen: usize,
-    src: usize,
-    dst: usize,
-    wire_bytes: usize,
-}
-
-impl FrameHdr {
-    /// Write the header into the first [`FRAME_HEADER`] bytes of `out`.
-    fn put(&self, out: &mut [u8]) {
-        let words = [self.plen, self.src, self.dst, self.wire_bytes];
-        for (w, b) in words.into_iter().zip(out.chunks_exact_mut(4)) {
-            b.copy_from_slice(&(w as u32).to_le_bytes());
-        }
-    }
-
-    /// Parse the first [`FRAME_HEADER`] bytes of `h`.
-    fn parse(h: &[u8]) -> FrameHdr {
-        let word = |i: usize| {
-            u32::from_le_bytes(h[4 * i..4 * i + 4].try_into().expect("4 bytes")) as usize
-        };
-        FrameHdr {
-            plen: word(0),
-            src: word(1),
-            dst: word(2),
-            wire_bytes: word(3),
-        }
-    }
-}
-
-/// One queued outbound frame.
-struct TxFrame {
-    /// Frame header plus the message's fixed fields (recycled buffer).
-    head: Vec<u8>,
-    /// The message's trailing payload view, uncopied.
-    tail: Option<MpfaBytes>,
-}
-
-impl TxFrame {
-    fn len(&self) -> usize {
-        self.head.len() + self.tail.as_ref().map_or(0, |t| t.len())
-    }
 }
 
 /// An inbound bulk frame (payload of [`BULK_MIN`] or more) whose
@@ -289,12 +221,11 @@ impl<F: SockFamily> Bound<F> {
 }
 
 enum PeerState<S> {
-    /// No connection; a dialer will (re)try, an acceptor waits.
+    /// No connection: a dialer will (re)try, an acceptor waits. Also
+    /// the state of a dead peer.
     Idle,
     /// Live socket.
     Connected(S),
-    /// Reconnect budget exhausted; frames to this peer are dropped.
-    Dead,
 }
 
 struct Peer<S> {
@@ -302,12 +233,7 @@ struct Peer<S> {
     /// True when we dial this peer (we are the higher rank).
     dialer: bool,
     state: PeerState<S>,
-    /// Outbound frames, oldest first.
-    txq: VecDeque<TxFrame>,
-    /// Bytes of `txq.front()` already written to the socket.
-    tx_off: usize,
-    /// Unsent bytes across the whole queue.
-    txq_bytes: usize,
+    tx: TxQueue,
     /// The incomplete header or small frame the last read ended in.
     rx_tail: Vec<u8>,
     /// The incomplete bulk frame being received; `rx_tail` is empty
@@ -332,45 +258,21 @@ impl<S> Peer<S> {
     fn void_partials(&mut self) {
         self.rx_tail.clear();
         self.rx_frame = None;
-        self.txq_bytes += self.tx_off;
-        self.tx_off = 0;
+        self.tx.rewind();
     }
 }
 
-struct RxLane<M> {
-    q: Mutex<VecDeque<Envelope<M>>>,
-    n: AtomicUsize,
-}
-
-impl<M> RxLane<M> {
-    fn new() -> Self {
-        RxLane {
-            q: Mutex::new(VecDeque::new()),
-            n: AtomicUsize::new(0),
-        }
-    }
-}
-
-struct WireInner<M, F: SockFamily> {
-    my_rank: usize,
-    ranks: usize,
-    eps_per_rank: usize,
+/// The socket link: one connection per peer over address family `F`.
+pub struct Sockets<F: SockFamily> {
     opts: WireOpts,
     listener: F::Listener,
     addr: String,
     /// Accepted sockets whose 4-byte hello has not fully arrived yet.
     pending: Mutex<Vec<(F::Stream, Vec<u8>)>>,
     peers: Vec<Mutex<Peer<F::Stream>>>,
-    /// Arrived packets per local endpoint, net and shmem path.
-    rx_net: Vec<RxLane<M>>,
-    rx_shm: Vec<RxLane<M>>,
-    rx_total: AtomicUsize,
-    dead: AtomicUsize,
     /// Peers currently in `Connected` state (the baseline the
     /// `wire_syscalls_saved` accounting subtracts touched peers from).
     connected: AtomicUsize,
-    /// Sends discarded because the destination peer was already dead.
-    tx_failed: AtomicUsize,
     /// Serializes socket pumping; contending pollers skip instead of
     /// queueing up behind the syscalls.
     pump: Mutex<()>,
@@ -382,31 +284,20 @@ struct WireInner<M, F: SockFamily> {
     /// Peers needing connection attention: an initial or retried dial,
     /// or an acceptor-side grace deadline after a lost connection.
     conn_dirty: ReadySet,
-    /// Recycled TX frame heads.
-    heads: Arc<BufPool>,
     /// Buffers large incomplete frames are received into.
-    frames: Arc<BufPool>,
+    rx_bufs: Arc<BufPool>,
 }
 
-impl<M, F: SockFamily> Drop for WireInner<M, F> {
+impl<F: SockFamily> Drop for Sockets<F> {
     fn drop(&mut self) {
         F::cleanup(&self.addr);
     }
 }
 
-/// The generic socket transport. Cheap to clone (shared inner state);
-/// see the module docs for framing, topology, and failure semantics.
-pub struct WireTransport<M: FrameCodec, F: SockFamily> {
-    inner: Arc<WireInner<M, F>>,
-}
-
-impl<M: FrameCodec, F: SockFamily> Clone for WireTransport<M, F> {
-    fn clone(&self) -> Self {
-        WireTransport {
-            inner: self.inner.clone(),
-        }
-    }
-}
+/// The generic socket transport: the frame engine over [`Sockets`].
+/// See the module docs for the byte path, topology, and failure
+/// semantics.
+pub type WireTransport<M, F> = FrameTransport<M, Sockets<F>>;
 
 impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
     /// Build a transport for `my_rank` out of a pre-bound listener and
@@ -422,11 +313,7 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
         opts: WireOpts,
     ) -> WireTransport<M, F> {
         let ranks = peer_addrs.len();
-        assert!(
-            my_rank < ranks,
-            "rank {my_rank} out of range for {ranks} ranks"
-        );
-        assert!(eps_per_rank > 0, "need at least one endpoint per rank");
+        let frames = Frames::new(my_rank, ranks, eps_per_rank);
         let peers = peer_addrs
             .into_iter()
             .enumerate()
@@ -435,9 +322,7 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
                     addr,
                     dialer: r < my_rank,
                     state: PeerState::Idle,
-                    txq: VecDeque::new(),
-                    tx_off: 0,
-                    txq_bytes: 0,
+                    tx: TxQueue::default(),
                     rx_tail: Vec::new(),
                     rx_frame: None,
                     next_retry: 0.0,
@@ -458,57 +343,41 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
         } else {
             None
         };
-        WireTransport {
-            inner: Arc::new(WireInner {
-                my_rank,
-                ranks,
-                eps_per_rank,
+        FrameTransport {
+            frames,
+            link: Sockets {
                 opts,
                 listener: bound.listener,
                 addr: bound.addr,
                 pending: Mutex::new(Vec::new()),
                 peers,
-                rx_net: (0..eps_per_rank).map(|_| RxLane::new()).collect(),
-                rx_shm: (0..eps_per_rank).map(|_| RxLane::new()).collect(),
-                rx_total: AtomicUsize::new(0),
-                dead: AtomicUsize::new(0),
                 connected: AtomicUsize::new(0),
-                tx_failed: AtomicUsize::new(0),
                 pump: Mutex::new(()),
                 reactor,
                 tx_dirty: ReadySet::new(ranks),
                 conn_dirty,
-                heads: BufPool::new(POOL_IDLE),
-                frames: BufPool::new(POOL_IDLE),
-            }),
+                rx_bufs: BufPool::new(POOL_IDLE),
+            },
         }
     }
 
     /// This rank's concrete data address (what peers dial).
     pub fn addr(&self) -> &str {
-        &self.inner.addr
-    }
-
-    /// This transport's rank in the world.
-    pub fn rank(&self) -> usize {
-        self.inner.my_rank
+        &self.link.addr
     }
 
     /// Total queued-but-unsent TX bytes across all peers (framed bytes,
     /// headers included) — the quantity the soft backpressure cap in
     /// [`WireOpts::tx_backlog_soft`] is enforced against.
     pub fn queued_tx_bytes(&self) -> usize {
-        (0..self.inner.ranks)
-            .filter(|&r| r != self.inner.my_rank)
-            .map(|r| self.inner.peers[r].lock().txq_bytes)
-            .sum()
+        self.link.peers.iter().map(|p| p.lock().tx.bytes()).sum()
     }
 
     /// True when every peer connection is live.
     pub fn mesh_ready(&self) -> bool {
-        (0..self.inner.ranks)
-            .filter(|&r| r != self.inner.my_rank)
-            .all(|r| matches!(self.inner.peers[r].lock().state, PeerState::Connected(_)))
+        (0..self.frames.ranks)
+            .filter(|&r| r != self.frames.my_rank)
+            .all(|r| matches!(self.link.peers[r].lock().state, PeerState::Connected(_)))
     }
 
     /// Pump until the full mesh is connected, a peer dies, or
@@ -516,11 +385,11 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
     pub fn establish(&self, timeout_secs: f64) -> io::Result<()> {
         let deadline = wtime() + timeout_secs;
         loop {
-            self.pump();
+            self.progress();
             if self.mesh_ready() {
                 return Ok(());
             }
-            if self.inner.dead.load(Ordering::Relaxed) > 0 {
+            if self.dead_peers() > 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::ConnectionAborted,
                     "peer declared dead during mesh establishment",
@@ -531,60 +400,36 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
                     io::ErrorKind::TimedOut,
                     format!(
                         "mesh not established within {timeout_secs}s (rank {})",
-                        self.inner.my_rank
+                        self.frames.my_rank
                     ),
                 ));
             }
             std::thread::yield_now();
         }
     }
+}
 
-    fn local_ep(&self, ep: usize) -> usize {
-        let base = self.inner.my_rank * self.inner.eps_per_rank;
-        assert!(
-            ep >= base && ep < base + self.inner.eps_per_rank,
-            "endpoint {ep} does not belong to rank {} (eps/rank {})",
-            self.inner.my_rank,
-            self.inner.eps_per_rank
-        );
-        ep - base
-    }
-
-    fn lane(&self, local: usize, path: Path) -> &RxLane<M> {
-        match path {
-            Path::Net => &self.inner.rx_net[local],
-            Path::Shmem => &self.inner.rx_shm[local],
-        }
-    }
-
-    fn deliver(&self, env: Envelope<M>, path: Path) {
-        let local = env.dst - self.inner.my_rank * self.inner.eps_per_rank;
-        let lane = self.lane(local, path);
-        lane.q.lock().push_back(env);
-        lane.n.fetch_add(1, Ordering::Release);
-        self.inner.rx_total.fetch_add(1, Ordering::Release);
-    }
-
+impl<F: SockFamily> Sockets<F> {
     /// One pump pass. Returns true if anything moved. Contending
     /// pumpers skip (return false).
-    fn pump(&self) -> bool {
-        let Some(_g) = self.inner.pump.try_lock() else {
+    fn pump<M: FrameCodec>(&self, fr: &Frames<M>) -> bool {
+        let Some(_g) = self.pump.try_lock() else {
             return false;
         };
-        match &self.inner.reactor {
-            Some(re) => self.pump_reactor(re),
-            None => self.pump_scan(),
+        match &self.reactor {
+            Some(re) => self.pump_reactor(fr, re),
+            None => self.pump_scan(fr),
         }
     }
 
     /// Legacy full scan over listener + every peer: O(peers) socket
     /// syscalls per pass.
-    fn pump_scan(&self) -> bool {
+    fn pump_scan<M: FrameCodec>(&self, fr: &Frames<M>) -> bool {
         let mut moved = self.accept_new().0;
-        moved |= self.drive_pending();
-        for r in 0..self.inner.ranks {
-            if r != self.inner.my_rank {
-                moved |= self.drive_peer(r);
+        moved |= self.drive_pending(fr);
+        for r in 0..fr.ranks {
+            if r != fr.my_rank {
+                moved |= self.drive_peer(fr, r);
             }
         }
         moved
@@ -593,7 +438,7 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
     /// Reactor-driven pass: only peers with published readiness,
     /// queued TX bytes, or connection attention are touched. Every
     /// connected peer *not* touched is a speculative poll saved.
-    fn pump_reactor(&self, re: &Reactor) -> bool {
+    fn pump_reactor<M: FrameCodec>(&self, fr: &Frames<M>, re: &Reactor) -> bool {
         let counters = mpfa_obs::global_counters();
         let sh = re.shared();
         let mut moved = false;
@@ -610,7 +455,7 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
             }
         }
         if sh.pending_ready.swap(false, Ordering::AcqRel) {
-            moved |= self.drive_pending();
+            moved |= self.drive_pending(fr);
         }
 
         let mut scratch = Vec::new();
@@ -621,14 +466,14 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
                 .fetch_sub(taken as u64, Ordering::Relaxed);
         }
         for &r in &scratch {
-            let mut p = self.inner.peers[r].lock();
+            let mut p = self.peers[r].lock();
             if !matches!(p.state, PeerState::Connected(_)) {
                 continue;
             }
             touched += 1;
-            moved |= self.flush(r, &mut p);
+            moved |= self.flush(fr, r, &mut p);
             let hup = sh.hup.take(r);
-            let (m, drained) = self.read_socket(r, &mut p, hup);
+            let (m, drained) = self.read_socket(fr, r, &mut p, hup);
             moved |= m;
             if !drained {
                 // The bounded read stopped before the socket was
@@ -647,33 +492,33 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
         }
 
         scratch.clear();
-        self.inner.tx_dirty.take_all(&mut scratch);
+        self.tx_dirty.take_all(&mut scratch);
         for &r in &scratch {
-            let mut p = self.inner.peers[r].lock();
+            let mut p = self.peers[r].lock();
             if matches!(p.state, PeerState::Connected(_)) {
                 touched += 1;
-                moved |= self.flush(r, &mut p);
+                moved |= self.flush(fr, r, &mut p);
             }
-            if p.txq_bytes > 0 && matches!(p.state, PeerState::Connected(_)) {
+            if p.tx.bytes() > 0 && matches!(p.state, PeerState::Connected(_)) {
                 // Socket buffer full: stay on the flush list. (A peer
                 // that lost its connection gets the bit back when the
                 // connection does — dial and promotion re-mark it.)
-                self.inner.tx_dirty.mark(r);
+                self.tx_dirty.mark(r);
             }
         }
 
         scratch.clear();
-        self.inner.conn_dirty.take_all(&mut scratch);
+        self.conn_dirty.take_all(&mut scratch);
         for &r in &scratch {
-            moved |= self.drive_peer(r);
-            if matches!(self.inner.peers[r].lock().state, PeerState::Idle) {
+            moved |= self.drive_peer(fr, r);
+            if matches!(self.peers[r].lock().state, PeerState::Idle) && !fr.is_dead(r) {
                 // Still waiting on a retry timer or grace deadline:
                 // keep the attention bit so time keeps being checked.
-                self.inner.conn_dirty.mark(r);
+                self.conn_dirty.mark(r);
             }
         }
 
-        let connected = self.inner.connected.load(Ordering::Relaxed);
+        let connected = self.connected.load(Ordering::Relaxed);
         let saved = connected.saturating_sub(touched);
         if saved > 0 {
             counters
@@ -690,13 +535,13 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
         let mut moved = false;
         for _ in 0..32 {
             count_syscalls(1);
-            match F::accept(&self.inner.listener) {
+            match F::accept(&self.listener) {
                 Ok(Some(sock)) => {
                     if F::set_nonblocking(&sock, true).is_ok() {
-                        if let (Some(re), Some(fd)) = (&self.inner.reactor, F::stream_fd(&sock)) {
+                        if let (Some(re), Some(fd)) = (&self.reactor, F::stream_fd(&sock)) {
                             re.add_pending(fd);
                         }
-                        self.inner.pending.lock().push((sock, Vec::new()));
+                        self.pending.lock().push((sock, Vec::new()));
                         moved = true;
                     }
                 }
@@ -708,9 +553,9 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
 
     /// Read hellos off accepted-but-unidentified sockets and promote
     /// them to peer connections.
-    fn drive_pending(&self) -> bool {
+    fn drive_pending<M: FrameCodec>(&self, fr: &Frames<M>) -> bool {
         let mut moved = false;
-        let mut pending = self.inner.pending.lock();
+        let mut pending = self.pending.lock();
         let mut i = 0;
         while i < pending.len() {
             let (sock, hello) = &mut pending[i];
@@ -736,18 +581,18 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
                     continue;
                 }
             }
-            if hello.len() < 4 {
+            let Some(&word) = hello.first_chunk::<4>() else {
                 i += 1;
                 continue;
-            }
-            let rank = u32::from_le_bytes(hello[..4].try_into().expect("4 bytes")) as usize;
+            };
+            let rank = u32::from_le_bytes(word) as usize;
             let (sock, _) = pending.swap_remove(i);
             // Only higher ranks dial us; anything else is a stray.
-            if rank <= self.inner.my_rank || rank >= self.inner.ranks {
+            if rank <= fr.my_rank || rank >= fr.ranks {
                 continue;
             }
-            let mut p = self.inner.peers[rank].lock();
-            if matches!(p.state, PeerState::Dead) {
+            let mut p = self.peers[rank].lock();
+            if fr.is_dead(rank) {
                 continue;
             }
             // A reconnect replaces whatever was there.
@@ -758,13 +603,13 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
             p.attempts = 0;
             p.ever_connected = true;
             if !was_connected {
-                self.inner.connected.fetch_add(1, Ordering::Relaxed);
+                self.connected.fetch_add(1, Ordering::Relaxed);
             }
-            self.inner.conn_dirty.take(rank);
-            if p.txq_bytes > 0 {
-                self.inner.tx_dirty.mark(rank);
+            self.conn_dirty.take(rank);
+            if p.tx.bytes() > 0 {
+                self.tx_dirty.mark(rank);
             }
-            if let (Some(re), Some(fd)) = (&self.inner.reactor, fd) {
+            if let (Some(re), Some(fd)) = (&self.reactor, fd) {
                 re.promote_pending(fd, rank);
                 // Payload bytes may already sit behind the 4-byte hello
                 // in the kernel buffer; the MOD above only reports
@@ -781,41 +626,37 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
 
     fn backoff(&self, attempts: u32) -> f64 {
         let exp = attempts.min(16);
-        (self.inner.opts.retry_base * f64::from(1u32 << exp)).min(self.inner.opts.retry_max)
+        (self.opts.retry_base * f64::from(1u32 << exp)).min(self.opts.retry_max)
     }
 
     /// Record a failed dial; schedules a retry or declares the peer
     /// dead once the budget is spent.
-    fn note_dial_failure(&self, r: usize, p: &mut Peer<F::Stream>) {
+    fn note_dial_failure<M: FrameCodec>(&self, fr: &Frames<M>, r: usize, p: &mut Peer<F::Stream>) {
         p.attempts += 1;
         mpfa_obs::global_counters()
             .transport_reconnects
             .fetch_add(1, Ordering::Relaxed);
-        if p.attempts > self.inner.opts.max_attempts {
-            self.mark_dead(r, p);
+        if p.attempts > self.opts.max_attempts {
+            self.mark_dead(fr, r, p);
         } else {
             p.next_retry = wtime() + self.backoff(p.attempts - 1);
         }
     }
 
-    fn mark_dead(&self, r: usize, p: &mut Peer<F::Stream>) {
-        if !matches!(p.state, PeerState::Dead) {
+    /// [`Link::kill`] with the peer's lock held.
+    fn mark_dead<M: FrameCodec>(&self, fr: &Frames<M>, r: usize, p: &mut Peer<F::Stream>) {
+        if fr.mark_dead(r) {
             if matches!(p.state, PeerState::Connected(_)) {
-                self.inner.connected.fetch_sub(1, Ordering::Relaxed);
+                self.connected.fetch_sub(1, Ordering::Relaxed);
             }
-            p.state = PeerState::Dead;
+            // Dropping the socket closes its fd, which also removes it
+            // from the reactor's epoll set.
+            p.state = PeerState::Idle;
             p.void_partials();
-            p.txq.clear();
-            p.txq_bytes = 0;
+            p.tx.clear();
             // A dead peer needs no further attention of any kind.
-            // (Dropping the socket closed its fd, which also removed it
-            // from the reactor's epoll set.)
-            self.inner.conn_dirty.take(r);
-            self.inner.tx_dirty.take(r);
-            self.inner.dead.fetch_add(1, Ordering::Relaxed);
-            mpfa_obs::global_counters()
-                .transport_dead_peers
-                .fetch_add(1, Ordering::Relaxed);
+            self.conn_dirty.take(r);
+            self.tx_dirty.take(r);
         }
     }
 
@@ -823,44 +664,44 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
     /// backoff; acceptors give the peer a grace window to come back.
     fn disconnect(&self, r: usize, p: &mut Peer<F::Stream>) {
         if matches!(p.state, PeerState::Connected(_)) {
-            self.inner.connected.fetch_sub(1, Ordering::Relaxed);
+            self.connected.fetch_sub(1, Ordering::Relaxed);
         }
         p.state = PeerState::Idle;
         p.void_partials();
         p.attempts = 0;
         // Both the dialer's retry timer and the acceptor's grace
         // deadline are checked on the connection-attention path.
-        self.inner.conn_dirty.mark(r);
+        self.conn_dirty.mark(r);
         let now = wtime();
         if p.dialer {
             mpfa_obs::global_counters()
                 .transport_reconnects
                 .fetch_add(1, Ordering::Relaxed);
-            p.next_retry = now + self.inner.opts.retry_base;
+            p.next_retry = now + self.opts.retry_base;
         } else {
             // Patience roughly matching the dialer's full retry budget.
-            let grace = self.inner.opts.retry_max * f64::from(self.inner.opts.max_attempts);
-            p.next_retry = now + grace.max(self.inner.opts.retry_base);
+            let grace = self.opts.retry_max * f64::from(self.opts.max_attempts);
+            p.next_retry = now + grace.max(self.opts.retry_base);
         }
     }
 
-    fn dial(&self, r: usize, p: &mut Peer<F::Stream>) -> bool {
-        if self.inner.opts.inject_connect_fail && !p.injected {
+    fn dial<M: FrameCodec>(&self, fr: &Frames<M>, r: usize, p: &mut Peer<F::Stream>) -> bool {
+        if self.opts.inject_connect_fail && !p.injected {
             p.injected = true;
-            self.note_dial_failure(r, p);
+            self.note_dial_failure(fr, r, p);
             return true;
         }
         count_syscalls(1);
-        match F::connect(&p.addr, self.inner.opts.connect_timeout) {
+        match F::connect(&p.addr, self.opts.connect_timeout) {
             Ok(mut sock) => {
-                let hello = (self.inner.my_rank as u32).to_le_bytes();
+                let hello = (fr.my_rank as u32).to_le_bytes();
                 count_syscalls(1);
                 if sock.write_all(&hello).is_err() {
-                    self.note_dial_failure(r, p);
+                    self.note_dial_failure(fr, r, p);
                     return true;
                 }
                 if F::set_nonblocking(&sock, true).is_err() {
-                    self.note_dial_failure(r, p);
+                    self.note_dial_failure(fr, r, p);
                     return true;
                 }
                 p.void_partials();
@@ -868,12 +709,12 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
                 p.state = PeerState::Connected(sock);
                 p.attempts = 0;
                 p.ever_connected = true;
-                self.inner.connected.fetch_add(1, Ordering::Relaxed);
-                self.inner.conn_dirty.take(r);
-                if p.txq_bytes > 0 {
-                    self.inner.tx_dirty.mark(r);
+                self.connected.fetch_add(1, Ordering::Relaxed);
+                self.conn_dirty.take(r);
+                if p.tx.bytes() > 0 {
+                    self.tx_dirty.mark(r);
                 }
-                if let (Some(re), Some(fd)) = (&self.inner.reactor, fd) {
+                if let (Some(re), Some(fd)) = (&self.reactor, fd) {
                     re.add_peer(fd, r);
                     // ET registration reports an initial edge if the fd
                     // is already readable, so no bytes can slip into
@@ -882,38 +723,34 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
                 true
             }
             Err(_) => {
-                self.note_dial_failure(r, p);
+                self.note_dial_failure(fr, r, p);
                 true
             }
         }
     }
 
-    fn drive_peer(&self, r: usize) -> bool {
-        let mut p = self.inner.peers[r].lock();
+    fn drive_peer<M: FrameCodec>(&self, fr: &Frames<M>, r: usize) -> bool {
+        let mut p = self.peers[r].lock();
+        if fr.is_dead(r) {
+            return false;
+        }
         match p.state {
-            PeerState::Dead => false,
             PeerState::Idle => {
                 let now = wtime();
                 if p.dialer {
-                    if now < p.next_retry {
-                        false
-                    } else {
-                        self.dial(r, &mut p)
-                    }
+                    now >= p.next_retry && self.dial(fr, r, &mut p)
+                } else if p.ever_connected && now >= p.next_retry {
+                    // Acceptor: the lost peer did not come back within
+                    // the grace window.
+                    self.mark_dead(fr, r, &mut p);
+                    true
                 } else {
-                    // Acceptor: after a lost connection, wait out the
-                    // grace window, then declare the peer dead.
-                    if p.ever_connected && now >= p.next_retry {
-                        self.mark_dead(r, &mut p);
-                        true
-                    } else {
-                        false
-                    }
+                    false
                 }
             }
             PeerState::Connected(_) => {
-                let mut moved = self.flush(r, &mut p);
-                moved |= self.read_socket(r, &mut p, false).0;
+                let mut moved = self.flush(fr, r, &mut p);
+                moved |= self.read_socket(fr, r, &mut p, false).0;
                 moved
             }
         }
@@ -922,27 +759,14 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
     /// Write queued frames until the queue is empty or the socket is
     /// full: each `writev` gathers the unsent part of the front frame
     /// and as many whole frames behind it as fit one batch.
-    fn flush(&self, r: usize, p: &mut Peer<F::Stream>) -> bool {
+    fn flush<M: FrameCodec>(&self, fr: &Frames<M>, r: usize, p: &mut Peer<F::Stream>) -> bool {
         let mut moved = false;
-        while !p.txq.is_empty() {
+        while !p.tx.is_empty() {
             let PeerState::Connected(sock) = &mut p.state else {
                 break;
             };
             let mut iov = [IoSlice::new(&[]); TX_IOV];
-            let (mut parts, mut want) = (0, 0);
-            // Only the front frame can be partly written.
-            let mut skip = p.tx_off;
-            for f in p.txq.iter().take(TX_IOV / 2) {
-                for part in [&f.head[..], f.tail.as_deref().unwrap_or_default()] {
-                    let sent = skip.min(part.len());
-                    skip -= sent;
-                    if sent < part.len() {
-                        iov[parts] = IoSlice::new(&part[sent..]);
-                        parts += 1;
-                        want += part.len() - sent;
-                    }
-                }
-            }
+            let (parts, want) = p.tx.gather(&mut iov);
             count_syscalls(1);
             match sock.write_vectored(&iov[..parts]) {
                 Ok(0) => {
@@ -951,14 +775,8 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
                 }
                 Ok(n) => {
                     moved = true;
-                    p.txq_bytes -= n;
-                    p.tx_off += n;
                     mpfa_obs::global_counters().record_wire_tx(n as u64);
-                    while p.txq.front().is_some_and(|f| p.tx_off >= f.len()) {
-                        let done = p.txq.pop_front().expect("front checked");
-                        p.tx_off -= done.len();
-                        self.inner.heads.put(done.head);
-                    }
+                    p.tx.advance(n, &fr.heads);
                     if n < want {
                         // Short write: the socket buffer is full.
                         break;
@@ -984,7 +802,13 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
     /// hit with the socket still possibly readable — under
     /// edge-triggered wakeups the caller must re-mark the peer's
     /// readiness bit or the remaining bytes are stranded.
-    fn read_socket(&self, src_rank: usize, p: &mut Peer<F::Stream>, to_eof: bool) -> (bool, bool) {
+    fn read_socket<M: FrameCodec>(
+        &self,
+        fr: &Frames<M>,
+        src_rank: usize,
+        p: &mut Peer<F::Stream>,
+        to_eof: bool,
+    ) -> (bool, bool) {
         RX_STAGING.with_borrow_mut(|staging| {
             let mut moved = false;
             for _ in 0..64 {
@@ -1025,23 +849,23 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
                 mpfa_obs::global_counters().record_wire_rx(n as u64);
                 // `staged`: how much of `staging` now holds unparsed bytes.
                 let mut ok = true;
-                let staged = match rx_frame.as_mut() {
+                let staged = match rx_frame.take() {
                     None => {
                         rx_tail.clear();
                         carry + n
                     }
-                    Some(f) if n < f.buf.len() - f.filled => {
+                    Some(mut f) if n < f.buf.len() - f.filled => {
                         f.filled += n;
+                        *rx_frame = Some(f);
                         0
                     }
                     Some(f) => {
                         let staged = n - (f.buf.len() - f.filled);
-                        let f = rx_frame.take().expect("matched Some");
-                        ok = self.deliver_frame(f.hdr, self.inner.frames.freeze(f.buf));
+                        ok = fr.deliver_frame(f.hdr, self.rx_bufs.freeze(f.buf));
                         staged
                     }
                 };
-                if !(ok && self.parse_frames(src_rank, p, &staging[..staged])) {
+                if !(ok && self.parse_frames(fr, src_rank, p, &staging[..staged])) {
                     // Protocol violation: drop the connection.
                     self.disconnect(src_rank, p);
                     return (moved, true);
@@ -1059,27 +883,24 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
     /// incomplete: a bulk frame moves into a pooled buffer of its own
     /// that the next reads fill directly, anything smaller is carried
     /// in `rx_tail`. Returns false on a protocol violation.
-    fn parse_frames(&self, src_rank: usize, p: &mut Peer<F::Stream>, mut bytes: &[u8]) -> bool {
+    fn parse_frames<M: FrameCodec>(
+        &self,
+        fr: &Frames<M>,
+        src_rank: usize,
+        p: &mut Peer<F::Stream>,
+        mut bytes: &[u8],
+    ) -> bool {
         let counters = mpfa_obs::global_counters();
-        let eps = self.inner.eps_per_rank;
-        while bytes.len() >= FRAME_HEADER {
-            let hdr = FrameHdr::parse(bytes);
-            // Believe a header only if its length is inside the frame
-            // bound (a buffer is about to be sized from it), it
-            // addresses this rank and it names a source endpoint of the
-            // rank this connection belongs to.
-            if hdr.plen > MAX_FRAME_PAYLOAD
-                || hdr.dst / eps != self.inner.my_rank
-                || hdr.src / eps != src_rank
-            {
+        while let Some(h) = bytes.first_chunk::<FRAME_HEADER>() {
+            let Some(hdr) = fr.header(h, src_rank) else {
                 return false;
-            }
+            };
             let body = &bytes[FRAME_HEADER..];
             if body.len() < hdr.plen {
                 if hdr.plen < BULK_MIN {
                     break;
                 }
-                let mut buf = self.inner.frames.take_sized(hdr.plen);
+                let mut buf = self.rx_bufs.take_sized(hdr.plen);
                 buf[..body.len()].copy_from_slice(body);
                 counters.record_bytes_copied(body.len() as u64);
                 p.rx_frame = Some(RxFrame {
@@ -1092,7 +913,7 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
             // Complete in staging: the one counted copy of the RX path;
             // `decode_bytes` slices the owned view from here on.
             counters.record_bytes_copied(hdr.plen as u64);
-            if !self.deliver_frame(hdr, MpfaBytes::copy_from(&body[..hdr.plen])) {
+            if !fr.deliver_frame(hdr, MpfaBytes::copy_from(&body[..hdr.plen])) {
                 return false;
             }
             bytes = &body[hdr.plen..];
@@ -1101,150 +922,50 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
         p.rx_tail.extend_from_slice(bytes);
         true
     }
-
-    /// Decode one frame's payload and queue it on its endpoint's lane.
-    /// Returns false when the payload does not decode.
-    fn deliver_frame(&self, hdr: FrameHdr, payload: MpfaBytes) -> bool {
-        let Some(msg) = M::decode_bytes(payload) else {
-            return false;
-        };
-        self.deliver(
-            Envelope {
-                src: hdr.src,
-                dst: hdr.dst,
-                wire_bytes: hdr.wire_bytes,
-                msg,
-            },
-            Path::Net,
-        );
-        true
-    }
 }
 
-impl<M: FrameCodec, F: SockFamily> Transport<M> for WireTransport<M, F> {
-    fn kind(&self) -> TransportKind {
-        F::KIND
-    }
+impl<M: FrameCodec, F: SockFamily> Link<M> for Sockets<F> {
+    const KIND: TransportKind = F::KIND;
 
-    fn endpoints(&self) -> usize {
-        self.inner.ranks * self.inner.eps_per_rank
-    }
-
-    fn send(&self, src_ep: usize, dst_ep: usize, msg: M, wire_bytes: usize) -> TxHandle {
-        assert!(
-            dst_ep < self.endpoints(),
-            "destination endpoint {dst_ep} out of range"
-        );
-        self.local_ep(src_ep); // asserts src ownership
-        let dst_rank = dst_ep / self.inner.eps_per_rank;
-        if dst_rank == self.inner.my_rank {
-            // Same-process loopback: the intra-rank "shared memory"
-            // path, mirroring the sim fabric's same-node behaviour.
-            mpfa_obs::global_counters().record_packet(mpfa_obs::PathKind::Shmem, wire_bytes as u64);
-            self.deliver(
-                Envelope {
-                    src: src_ep,
-                    dst: dst_ep,
-                    wire_bytes,
-                    msg,
-                },
-                Path::Shmem,
-            );
-            return TxHandle::immediate();
+    fn send(&self, fr: &Frames<M>, rank: usize, env: Envelope<M>) -> bool {
+        let mut p = self.peers[rank].lock();
+        if fr.is_dead(rank) {
+            return false;
         }
-
-        let counters = mpfa_obs::global_counters();
-        counters.record_packet(mpfa_obs::PathKind::Net, wire_bytes as u64);
-        let mut p = self.inner.peers[dst_rank].lock();
-        if matches!(p.state, PeerState::Dead) {
-            // Unreachable peer: the frame is discarded *and the failure
-            // is reported* — a failed TxHandle plus the failed-sends
-            // counter, so callers fail the operation immediately instead
-            // of queueing into a FIFO that will never drain.
-            drop(p);
-            self.inner.tx_failed.fetch_add(1, Ordering::Relaxed);
-            return TxHandle::failed();
-        }
-        // Queue the frame as a head (frame header + the message's fixed
-        // fields, in a recycled buffer) and the message's payload view;
-        // only what went into the head was copied.
-        let mut head = self.inner.heads.take();
-        head.resize(FRAME_HEADER, 0);
-        let tail = msg.encode_split(&mut head);
-        let fixed = head.len() - FRAME_HEADER;
-        let plen = fixed + tail.as_ref().map_or(0, |t| t.len());
-        assert!(
-            plen <= MAX_FRAME_PAYLOAD,
-            "frame payload of {plen} bytes exceeds MAX_FRAME_PAYLOAD"
-        );
-        counters.record_bytes_copied(fixed as u64);
-        let hdr = FrameHdr {
-            plen,
-            src: src_ep,
-            dst: dst_ep,
-            wire_bytes,
-        };
-        hdr.put(&mut head);
-        p.txq_bytes += FRAME_HEADER + plen;
-        p.txq.push_back(TxFrame { head, tail });
+        p.tx.push(fr.encode(&env));
         if matches!(p.state, PeerState::Connected(_)) {
             // Opportunistic flush, with bounded extra effort when the
             // backlog is over the soft cap (backpressure without ever
             // blocking indefinitely). The peer lock is released around
             // each yield so other senders and the pump are not held up.
-            self.flush(dst_rank, &mut p);
+            self.flush(fr, rank, &mut p);
             let mut spins = 0;
-            while p.txq_bytes > self.inner.opts.tx_backlog_soft
+            while p.tx.bytes() > self.opts.tx_backlog_soft
                 && matches!(p.state, PeerState::Connected(_))
                 && spins < 1000
             {
                 spins += 1;
                 drop(p);
                 std::thread::yield_now();
-                p = self.inner.peers[dst_rank].lock();
-                self.flush(dst_rank, &mut p);
+                p = self.peers[rank].lock();
+                self.flush(fr, rank, &mut p);
             }
         }
-        if p.txq_bytes > 0 {
+        if p.tx.bytes() > 0 {
             // Leftover bytes the pump must flush: put the peer on the
             // reactor's TX attention list so a pass without inbound
             // readiness still writes them out.
-            self.inner.tx_dirty.mark(dst_rank);
+            self.tx_dirty.mark(rank);
         }
-        TxHandle::immediate()
+        true
     }
 
-    fn poll(&self, ep: usize, path: Path, max: usize, out: &mut Vec<Envelope<M>>) -> usize {
-        let local = self.local_ep(ep);
-        let lane = self.lane(local, path);
-        if lane.n.load(Ordering::Acquire) == 0 {
-            return 0;
-        }
-        let mut q = lane.q.lock();
-        let n = max.min(q.len());
-        out.extend(q.drain(..n));
-        drop(q);
-        if n > 0 {
-            lane.n.fetch_sub(n, Ordering::Release);
-            self.inner.rx_total.fetch_sub(n, Ordering::Release);
-        }
-        n
+    fn progress(&self, fr: &Frames<M>) -> bool {
+        self.pump(fr)
     }
 
-    fn queued(&self, ep: usize, path: Path) -> usize {
-        let local = self.local_ep(ep);
-        self.lane(local, path).n.load(Ordering::Acquire)
-    }
-
-    fn progress(&self) -> bool {
-        self.pump()
-    }
-
-    fn external_work(&self) -> bool {
-        if self.inner.rx_total.load(Ordering::Acquire) > 0 {
-            return true;
-        }
-        match &self.inner.reactor {
+    fn external_work(&self, fr: &Frames<M>) -> bool {
+        match &self.reactor {
             // Reactor path: work exists only when something actually
             // signalled — a published readiness bit, a listener or
             // hello event, queued TX bytes, or a pending (re)connect.
@@ -1255,38 +976,18 @@ impl<M: FrameCodec, F: SockFamily> Transport<M> for WireTransport<M, F> {
                 sh.ready.any()
                     || sh.listener_ready.load(Ordering::Acquire)
                     || sh.pending_ready.load(Ordering::Acquire)
-                    || self.inner.tx_dirty.any()
-                    || self.inner.conn_dirty.any()
+                    || self.tx_dirty.any()
+                    || self.conn_dirty.any()
             }
             // Legacy scan: bytes may be sitting in kernel buffers as
             // long as any peer is (or may come back) alive.
-            None => {
-                self.inner.ranks > 1
-                    && self.inner.dead.load(Ordering::Relaxed) + 1 < self.inner.ranks
-            }
+            None => fr.ranks > 1 && fr.dead_peers() + 1 < fr.ranks,
         }
     }
 
-    fn peer_alive(&self, rank: usize) -> bool {
-        rank == self.inner.my_rank
-            || !matches!(self.inner.peers[rank].lock().state, PeerState::Dead)
-    }
-
-    fn dead_peers(&self) -> usize {
-        self.inner.dead.load(Ordering::Relaxed)
-    }
-
-    fn failed_sends(&self) -> usize {
-        self.inner.tx_failed.load(Ordering::Relaxed)
-    }
-
-    fn kill_peer(&self, rank: usize) -> bool {
-        if rank == self.inner.my_rank || rank >= self.inner.ranks {
-            return false;
-        }
-        let mut p = self.inner.peers[rank].lock();
-        self.mark_dead(rank, &mut p);
-        true
+    fn kill(&self, fr: &Frames<M>, rank: usize) {
+        let mut p = self.peers[rank].lock();
+        self.mark_dead(fr, rank, &mut p);
     }
 }
 
@@ -1313,8 +1014,8 @@ fn mesh_family<M: FrameCodec, F: SockFamily>(
     ranks: usize,
     eps_per_rank: usize,
     opts: WireOpts,
-    dir_tag: usize,
 ) -> io::Result<Vec<Arc<dyn Transport<M>>>> {
+    let dir_tag = MESH_SEQ.fetch_add(1, Ordering::Relaxed);
     let bounds: Vec<Bound<F>> = (0..ranks)
         .map(|r| Bound::bind(&mesh_hint(F::KIND, dir_tag, r)))
         .collect::<io::Result<_>>()?;
@@ -1330,7 +1031,7 @@ fn mesh_family<M: FrameCodec, F: SockFamily>(
     loop {
         let mut ready = true;
         for t in &transports {
-            t.pump();
+            t.progress();
             ready &= t.mesh_ready();
         }
         if ready {
@@ -1369,7 +1070,6 @@ pub fn loopback_mesh<M: FrameCodec>(
     opts: WireOpts,
 ) -> io::Result<Vec<Arc<dyn Transport<M>>>> {
     assert!(ranks > 0 && eps_per_rank > 0);
-    let dir_tag = MESH_SEQ.fetch_add(1, Ordering::Relaxed);
     match kind {
         TransportKind::Sim => {
             let fabric: mpfa_fabric::Fabric<M> = mpfa_fabric::Fabric::new(
@@ -1380,20 +1080,19 @@ pub fn loopback_mesh<M: FrameCodec>(
             // has no failure notion).
             Ok(crate::sim::sim_rank_views(fabric, ranks, eps_per_rank))
         }
-        TransportKind::Tcp => {
-            mesh_family::<M, crate::tcp::TcpFamily>(ranks, eps_per_rank, opts, dir_tag)
-        }
+        TransportKind::Tcp => mesh_family::<M, crate::tcp::TcpFamily>(ranks, eps_per_rank, opts),
         #[cfg(unix)]
-        TransportKind::Uds => {
-            mesh_family::<M, crate::uds::UdsFamily>(ranks, eps_per_rank, opts, dir_tag)
-        }
+        TransportKind::Uds => mesh_family::<M, crate::uds::UdsFamily>(ranks, eps_per_rank, opts),
         #[cfg(not(unix))]
         TransportKind::Uds => Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "unix domain sockets are not available on this platform",
         )),
         #[cfg(unix)]
-        TransportKind::Shm => crate::shm::shm_mesh(ranks, eps_per_rank, opts, dir_tag),
+        TransportKind::Shm => Ok(crate::shm::shm_mesh(ranks, eps_per_rank)?
+            .into_iter()
+            .map(|t| Arc::new(t) as Arc<dyn Transport<M>>)
+            .collect()),
         #[cfg(not(unix))]
         TransportKind::Shm => Err(io::Error::new(
             io::ErrorKind::Unsupported,
@@ -1409,6 +1108,7 @@ mod faults;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpfa_fabric::Path;
 
     type Msg = Vec<u8>;
 
@@ -1648,8 +1348,8 @@ mod tests {
             WireTransport::new(b1, 1, table, 1, WireOpts::default());
         let deadline = wtime() + 10.0;
         while !(t0.mesh_ready() && t1.mesh_ready()) {
-            t0.pump();
-            t1.pump();
+            t0.progress();
+            t1.progress();
             assert!(wtime() < deadline, "pair never connected");
         }
         for _ in 0..20 {
@@ -1657,20 +1357,20 @@ mod tests {
         }
         let mut out = Vec::new();
         while out.len() < 20 {
-            t0.pump();
-            t1.pump();
+            t0.progress();
+            t1.progress();
             t0.poll(0, Path::Net, usize::MAX, &mut out);
             assert!(wtime() < deadline, "frames never arrived");
         }
         while t1.queued_tx_bytes() > 0 {
-            t1.pump();
+            t1.progress();
             assert!(wtime() < deadline, "queue never drained to zero");
         }
         assert_eq!(t1.queued_tx_bytes(), 0);
         // Flushed frame heads were recycled, so the next send encodes
         // into a reused buffer instead of allocating.
         assert!(
-            t1.inner.heads.idle() > 0,
+            t1.frames.heads.idle() > 0,
             "flushed frame heads should return to the pool"
         );
     }

@@ -6,7 +6,9 @@
 use super::tests::fast_opts;
 use super::*;
 use crate::codec::{put_u64, ByteReader};
-use std::collections::HashMap;
+use crate::frame::MAX_FRAME_PAYLOAD;
+use mpfa_fabric::Path;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::AtomicBool;
 use std::sync::Mutex as StdMutex;
 
@@ -254,7 +256,7 @@ fn pump_until<M: FrameCodec, F: SockFamily>(
     let deadline = wtime() + 20.0;
     while !done() {
         for t in ts {
-            t.pump();
+            t.progress();
         }
         assert!(wtime() < deadline, "{what}");
     }
@@ -299,7 +301,10 @@ fn fifo_survives_partial_io<const K: usize>() {
     pump_until(&pair, "TX queues never drained", || {
         pair[0].queued_tx_bytes() + pair[1].queued_tx_bytes() == 0
     });
-    assert!(pair[1].inner.heads.idle() > 0, "flushed heads are recycled");
+    assert!(
+        pair[1].frames.heads.idle() > 0,
+        "flushed heads are recycled"
+    );
 }
 
 #[test]
@@ -339,7 +344,7 @@ fn reconnect_mid_frame_discards_partials_on_both_sides() {
     // Stop with the frame part-written by rank 1 and part-received by
     // rank 0 (into its own buffer, past the header).
     pump_until(&pair, "frame never got under way", || {
-        let rx = pair[0].inner.peers[1].lock();
+        let rx = pair[0].link.peers[1].lock();
         rx.rx_frame.as_ref().is_some_and(|f| f.filled > K)
     });
     let queued = pair[1].queued_tx_bytes();
@@ -362,16 +367,12 @@ fn reconnect_mid_frame_discards_partials_on_both_sides() {
 // Hostile bytes on a real socket
 // ---------------------------------------------------------------------
 
+/// A raw frame header: `FrameHdr::put` refuses an oversized length.
 fn frame_header(plen: usize, src: usize, dst: usize) -> Vec<u8> {
-    let mut h = vec![0; FRAME_HEADER];
-    FrameHdr {
-        plen,
-        src,
-        dst,
-        wire_bytes: 0,
-    }
-    .put(&mut h);
-    h
+    [plen, src, dst, 0]
+        .iter()
+        .flat_map(|&w| (w as u32).to_le_bytes())
+        .collect()
 }
 
 /// Ranks 0 and 1 are real transports; "rank 2" is a raw socket that
@@ -388,10 +389,10 @@ fn hostile_peer_is_dropped(bad: &[u8], close_after: bool) {
         rank += 1;
         WireTransport::new(b, rank - 1, table.clone(), 1, fast_opts())
     });
-    let state_of = |r: usize| match ts[0].inner.peers[r].lock().state {
+    let state_of = |r: usize| match ts[0].link.peers[r].lock().state {
+        _ if !ts[0].peer_alive(r) => 'd',
         PeerState::Idle => 'i',
         PeerState::Connected(_) => 'c',
-        PeerState::Dead => 'd',
     };
     pump_until(&ts, "ranks 0 and 1 never connected", || state_of(1) == 'c');
 
