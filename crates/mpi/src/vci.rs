@@ -11,13 +11,13 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use mpfa_core::sync::Mutex;
+use mpfa_core::sync::{Mutex, MutexGuard};
 use mpfa_core::{wtime, Completer, Request, RequestError, Status, Stream};
 use mpfa_fabric::{Endpoint, Path, TxHandle};
 use mpfa_transport::{MpfaBytes, Transport};
 
 use crate::matching::{MatchState, PostedRecv, RecvSlot, Unexpected};
-use crate::protocol::{ProtoConfig, SendMode};
+use crate::protocol::{DataPlan, ProtoConfig, SendMode};
 use crate::wire::{MsgHeader, WireMsg};
 
 /// Identity of a persistent pair before its slot is bound: the wire
@@ -190,15 +190,11 @@ struct PartRound {
 
 /// A rendezvous send in flight (sender side).
 struct RndvSend {
-    /// Full payload; chunks are sliced out of this view, so pumping the
-    /// pipeline never copies on the send side.
+    /// Full payload; slices are views of it, so sending never copies.
     data: MpfaBytes,
     dst_ep: usize,
-    /// Next unsent byte offset.
-    offset: usize,
-    /// Chunks currently on the wire without an ack.
-    inflight: usize,
-    /// Chunks acknowledged by the receiver.
+    /// Slices sent, and slices the receiver acknowledged ([`DataPlan`]).
+    sent: usize,
     acked: usize,
     /// Receiver request id (known after CTS).
     recv_id: Option<u64>,
@@ -441,29 +437,7 @@ impl Vci {
                 req
             }
             SendMode::Rendezvous => {
-                let (req, completer) = Request::pair(&self.stream);
-                let send_id = {
-                    let mut st = self.state.lock();
-                    let id = st.next_id;
-                    st.next_id += 1;
-                    st.sends.insert(
-                        id,
-                        RndvSend {
-                            data: bytes,
-                            dst_ep,
-                            offset: 0,
-                            inflight: 0,
-                            acked: 0,
-                            recv_id: None,
-                            completer: Some(completer),
-                        },
-                    );
-                    id
-                };
-                self.work.fetch_add(1, Ordering::Release);
-                mpfa_obs::global_counters()
-                    .rndv_started
-                    .fetch_add(1, Ordering::Relaxed);
+                let (req, send_id) = self.start_rndv_send(bytes, dst_ep);
                 mpfa_obs::record(|| mpfa_obs::EventKind::RndvRts {
                     send_id,
                     src: self.ep as u32,
@@ -745,7 +719,7 @@ impl Vci {
                         .fetch_add(1, Ordering::Relaxed);
                     mpfa_obs::record(|| mpfa_obs::EventKind::RndvCts { send_id, recv_id });
                     send.recv_id = Some(recv_id);
-                    Self::pump_chunks(&*self.port, self.ep, &self.proto, send);
+                    self.pump_slices(st, send_id);
                 }
             }
             WireMsg::Data {
@@ -773,15 +747,13 @@ impl Vci {
                         recv.slot.write_at(recv.total, offset, &data);
                     }
                     recv.received += dlen;
-                    // Flow-control credit back to the sender.
-                    self.port.send(
-                        self.ep,
-                        recv.reply_ep,
-                        WireMsg::DataAck {
+                    if self.data_plan().acked() {
+                        // Flow-control credit back to the sender.
+                        let ack = WireMsg::DataAck {
                             send_id: recv.send_id,
-                        },
-                        0,
-                    );
+                        };
+                        self.port.send(self.ep, recv.reply_ep, ack, 0);
+                    }
                     if recv.received >= recv.total {
                         st.recvs.remove(&recv_id)
                     } else {
@@ -806,39 +778,10 @@ impl Vci {
                 }
             }
             WireMsg::DataAck { send_id } => {
-                let done = {
-                    let mut st = self.state.lock();
-                    let Some(send) = st.sends.get_mut(&send_id) else {
-                        return;
-                    };
-                    send.inflight -= 1;
+                let mut st = self.state.lock();
+                if let Some(send) = st.sends.get_mut(&send_id) {
                     send.acked += 1;
-                    Self::pump_chunks(&*self.port, self.ep, &self.proto, send);
-                    let total_chunks = self.proto.chunks_of(send.data.len());
-                    if send.acked >= total_chunks {
-                        st.sends.remove(&send_id)
-                    } else {
-                        None
-                    }
-                };
-                if let Some(send) = done {
-                    self.work.fetch_sub(1, Ordering::Release);
-                    mpfa_obs::global_counters()
-                        .rndv_completed
-                        .fetch_add(1, Ordering::Relaxed);
-                    mpfa_obs::record(|| mpfa_obs::EventKind::RndvDone {
-                        id: send_id,
-                        bytes: send.data.len() as u64,
-                        sender: true,
-                    });
-                    if let Some(completer) = send.completer {
-                        completer.complete(Status {
-                            source: -1,
-                            tag: -1,
-                            bytes: send.data.len(),
-                            cancelled: false,
-                        });
-                    }
+                    self.pump_slices(st, send_id);
                 }
             }
             WireMsg::PersistBind { key, slot } => {
@@ -916,9 +859,8 @@ impl Vci {
                 total,
             } => {
                 // Slot-addressed rendezvous fire: the armed round (or a
-                // later arm) replies with a standard CTS and the
-                // existing chunked Data/DataAck pipeline finishes the
-                // transfer — only the *match* was skipped.
+                // later arm) replies with a standard CTS and the CTS arm
+                // finishes the transfer — only the *match* was skipped.
                 let armed = {
                     let mut st = self.state.lock();
                     let Some(ps) = st.persist_slots.get_mut(&slot) else {
@@ -1056,32 +998,79 @@ impl Vci {
             .send(self.ep, reply_ep, WireMsg::Cts { send_id, recv_id }, 0);
     }
 
-    /// Inject chunks up to the pipeline depth.
-    fn pump_chunks(
-        port: &dyn Transport<WireMsg>,
-        src_ep: usize,
-        proto: &ProtoConfig,
-        send: &mut RndvSend,
-    ) {
+    /// How a granted rendezvous travels on this VCI's transport.
+    fn data_plan(&self) -> DataPlan {
+        self.proto.data_plan(self.port.reliable_fifo())
+    }
+
+    /// Register the sender half of a rendezvous; the caller sends the RTS.
+    fn start_rndv_send(&self, data: MpfaBytes, dst_ep: usize) -> (Request, u64) {
+        let (req, completer) = Request::pair(&self.stream);
+        let mut st = self.state.lock();
+        let id = st.next_id;
+        st.next_id += 1;
+        let send = RndvSend {
+            data,
+            dst_ep,
+            sent: 0,
+            acked: 0,
+            recv_id: None,
+            completer: Some(completer),
+        };
+        st.sends.insert(id, send);
+        drop(st);
+        self.work.fetch_add(1, Ordering::Release);
+        let c = mpfa_obs::global_counters();
+        c.rndv_started.fetch_add(1, Ordering::Relaxed);
+        (req, id)
+    }
+
+    /// Send the slices of rendezvous `send_id` that its [`DataPlan`]
+    /// allows now, after the CTS or a `DataAck`, and complete the send
+    /// when the plan is done: at the last ack, or at the CTS itself on a
+    /// reliable FIFO transport (failed if the transport refused a slice).
+    fn pump_slices(&self, mut st: MutexGuard<'_, VciState>, send_id: u64) {
+        let plan = self.data_plan();
+        let Some(send) = st.sends.get_mut(&send_id) else {
+            return;
+        };
         let Some(recv_id) = send.recv_id else { return };
         let total = send.data.len();
-        while send.inflight < proto.depth && send.offset < total {
-            let end = (send.offset + proto.chunk).min(total);
-            // Chunks are slices of the payload view: no per-chunk copy.
-            let chunk = send.data.slice(send.offset..end);
-            let len = chunk.len();
-            port.send(
-                src_ep,
-                send.dst_ep,
-                WireMsg::Data {
-                    recv_id,
-                    offset: send.offset,
-                    data: chunk,
-                },
-                len,
-            );
-            send.offset = end;
-            send.inflight += 1;
+        let mut failed = false;
+        while let Some(r) = plan.next(total, send.sent, send.acked) {
+            let msg = WireMsg::Data {
+                recv_id,
+                offset: r.start,
+                data: send.data.slice(r.clone()),
+            };
+            failed |= self
+                .port
+                .send(self.ep, send.dst_ep, msg, r.len())
+                .is_failed();
+            send.sent += 1;
+        }
+        if !plan.done(total, send.sent, send.acked) {
+            return;
+        }
+        let completer = st.sends.remove(&send_id).and_then(|s| s.completer);
+        drop(st);
+        self.work.fetch_sub(1, Ordering::Release);
+        let c = mpfa_obs::global_counters();
+        c.rndv_completed.fetch_add(1, Ordering::Relaxed);
+        mpfa_obs::record(|| mpfa_obs::EventKind::RndvDone {
+            id: send_id,
+            bytes: total as u64,
+            sender: true,
+        });
+        match completer {
+            Some(c) if failed => c.fail(RequestError::PeerFailed { rank: -1 }),
+            Some(c) => c.complete(Status {
+                source: -1,
+                tag: -1,
+                bytes: total,
+                cancelled: false,
+            }),
+            None => {}
         }
     }
 
@@ -1304,29 +1293,7 @@ impl Vci {
                 req
             }
             SendMode::Rendezvous => {
-                let (req, completer) = Request::pair(&self.stream);
-                let send_id = {
-                    let mut st = self.state.lock();
-                    let id = st.next_id;
-                    st.next_id += 1;
-                    st.sends.insert(
-                        id,
-                        RndvSend {
-                            data: bytes,
-                            dst_ep,
-                            offset: 0,
-                            inflight: 0,
-                            acked: 0,
-                            recv_id: None,
-                            completer: Some(completer),
-                        },
-                    );
-                    id
-                };
-                self.work.fetch_add(1, Ordering::Release);
-                mpfa_obs::global_counters()
-                    .rndv_started
-                    .fetch_add(1, Ordering::Relaxed);
+                let (req, send_id) = self.start_rndv_send(bytes, dst_ep);
                 self.port.send(
                     self.ep,
                     dst_ep,
@@ -1485,7 +1452,7 @@ impl Vci {
     /// Begin the receiver half of a slot-addressed rendezvous re-fire:
     /// register standard rendezvous state and reply CTS. From the CTS
     /// on, the transfer is indistinguishable from a one-shot rendezvous
-    /// (same chunked pipeline, same flow-control credits).
+    /// (same data plan).
     fn persist_rndv_recv(
         &self,
         armed: ArmedRound,
@@ -1967,6 +1934,32 @@ mod tests {
         let (rreq, slot) = v1.irecv_bytes(1, 0, 5, 64);
         drive(&v0, &v1, || rreq.is_complete() && sreq.is_complete());
         assert_eq!(slot.take(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn zero_byte_rendezvous_completes_on_both_sides() {
+        // The sim pair runs the acked pipeline, the TCP pair sends
+        // unacked slices; on both, an empty payload still sends one
+        // `Data`, the only thing the receiver completes on.
+        let proto = ProtoConfig::default();
+        let (s0, s1, _, _) = pair(proto);
+        let mesh = mpfa_transport::loopback_mesh::<WireMsg>(
+            mpfa_transport::TransportKind::Tcp,
+            2,
+            1,
+            mpfa_transport::WireOpts::default(),
+        )
+        .unwrap();
+        let t0 = Vci::on_transport(mesh[0].clone(), 0, Stream::create(), proto);
+        let t1 = Vci::on_transport(mesh[1].clone(), 1, Stream::create(), proto);
+        for (v0, v1) in [(&s0, &s1), (&t0, &t1)] {
+            let (rreq, slot) = v1.irecv_bytes(1, 0, 4, 64);
+            let sreq = v0.isend_bytes_mode(1, hdr(0, 4), vec![], SendMode::Rendezvous);
+            drive(v0, v1, || rreq.is_complete() && sreq.is_complete());
+            assert!(slot.take().is_empty());
+            assert_eq!(rreq.status().unwrap().bytes, 0);
+            assert_eq!((v0.protocol_work(), v1.protocol_work()), (0, 0));
+        }
     }
 
     #[test]

@@ -50,9 +50,14 @@ pub(crate) const FRAME_HEADER: usize = 16;
 /// Largest frame payload the engine sends or believes: `send` asserts
 /// it, and a received header announcing more is a protocol violation.
 /// A receiver sizes a buffer from the header, so the length has to be
-/// bounded before it is trusted; 64 MiB is a thousand times the MPI
-/// layer's largest frame (one 64 KiB eager payload or rendezvous chunk).
+/// bounded before it is trusted. A larger rendezvous payload travels as
+/// several frames.
 pub(crate) const MAX_FRAME_PAYLOAD: usize = 64 << 20;
+
+/// Frame payload bytes a link keeps for the fixed fields a message puts
+/// in front of a payload slice (the MPI layer's `Data` needs 17), so a
+/// slice of [`Link::reliable_fifo`] bytes always fits one frame.
+pub(crate) const SLICE_ROOM: usize = 64;
 
 /// Idle frame heads the engine keeps for reuse.
 const HEADS_IDLE: usize = 32;
@@ -362,6 +367,10 @@ pub trait Link<M>: Send + Sync + 'static {
         None
     }
 
+    /// See [`Transport::reliable_fifo`]. Every link is reliable and FIFO
+    /// per peer; what differs is the largest slice one frame carries.
+    fn reliable_fifo(&self) -> Option<usize>;
+
     /// Declare `rank` dead: [`Frames::mark_dead`], then drop what is
     /// queued for it and stop reading from it.
     fn kill(&self, fr: &Frames<M>, rank: usize);
@@ -449,6 +458,10 @@ impl<M: FrameCodec, L: Link<M>> Transport<M> for FrameTransport<M, L> {
 
     fn eager_hint(&self) -> Option<usize> {
         self.link.eager_hint()
+    }
+
+    fn reliable_fifo(&self) -> Option<usize> {
+        self.link.reliable_fifo()
     }
 
     fn peer_alive(&self, rank: usize) -> bool {

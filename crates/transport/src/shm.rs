@@ -868,6 +868,11 @@ impl<M: FrameCodec> Link<M> for Rings {
         Some((self.geo.ring_cap / 4) as usize)
     }
 
+    fn reliable_fifo(&self) -> Option<usize> {
+        // Rendezvous slices get the eager frame's bound.
+        Link::<M>::eager_hint(self)
+    }
+
     fn kill(&self, fr: &Frames<M>, rank: usize) {
         self.peers[rank].tx.lock().bury(fr, rank);
     }

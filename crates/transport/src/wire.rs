@@ -81,7 +81,9 @@ use mpfa_fabric::Envelope;
 
 use crate::bytes::{BufPool, MpfaBytes};
 use crate::codec::FrameCodec;
-use crate::frame::{FrameHdr, FrameTransport, Frames, Link, TxQueue, FRAME_HEADER};
+use crate::frame::{
+    FrameHdr, FrameTransport, Frames, Link, TxQueue, FRAME_HEADER, MAX_FRAME_PAYLOAD, SLICE_ROOM,
+};
 use crate::reactor::{reactor_enabled, Reactor, ReadySet};
 use crate::{Transport, TransportKind};
 
@@ -133,9 +135,6 @@ pub struct WireOpts {
     pub retry_max: f64,
     /// Connection attempts per outage before the peer is declared dead.
     pub max_attempts: u32,
-    /// Soft cap on a peer's queued-but-unsent TX bytes; `send` spends
-    /// bounded effort flushing above this before letting the queue grow.
-    pub tx_backlog_soft: usize,
     /// Test hook: artificially fail the first dial to every peer once,
     /// exercising the retry path (`MPFA_INJECT_CONNECT_FAIL=1`).
     pub inject_connect_fail: bool,
@@ -148,7 +147,6 @@ impl Default for WireOpts {
             retry_base: 0.01,
             retry_max: 0.5,
             max_attempts: 20,
-            tx_backlog_soft: 4 << 20,
             inject_connect_fail: false,
         }
     }
@@ -367,8 +365,7 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
     }
 
     /// Total queued-but-unsent TX bytes across all peers (framed bytes,
-    /// headers included) — the quantity the soft backpressure cap in
-    /// [`WireOpts::tx_backlog_soft`] is enforced against.
+    /// headers included).
     pub fn queued_tx_bytes(&self) -> usize {
         self.link.peers.iter().map(|p| p.lock().tx.bytes()).sum()
     }
@@ -933,24 +930,8 @@ impl<M: FrameCodec, F: SockFamily> Link<M> for Sockets<F> {
             return false;
         }
         p.tx.push(fr.encode(&env));
-        if matches!(p.state, PeerState::Connected(_)) {
-            // Opportunistic flush, with bounded extra effort when the
-            // backlog is over the soft cap (backpressure without ever
-            // blocking indefinitely). The peer lock is released around
-            // each yield so other senders and the pump are not held up.
-            self.flush(fr, rank, &mut p);
-            let mut spins = 0;
-            while p.tx.bytes() > self.opts.tx_backlog_soft
-                && matches!(p.state, PeerState::Connected(_))
-                && spins < 1000
-            {
-                spins += 1;
-                drop(p);
-                std::thread::yield_now();
-                p = self.peers[rank].lock();
-                self.flush(fr, rank, &mut p);
-            }
-        }
+        // Opportunistic flush: write what the socket takes now.
+        self.flush(fr, rank, &mut p);
         if p.tx.bytes() > 0 {
             // Leftover bytes the pump must flush: put the peer on the
             // reactor's TX attention list so a pass without inbound
@@ -962,6 +943,10 @@ impl<M: FrameCodec, F: SockFamily> Link<M> for Sockets<F> {
 
     fn progress(&self, fr: &Frames<M>) -> bool {
         self.pump(fr)
+    }
+
+    fn reliable_fifo(&self) -> Option<usize> {
+        Some(MAX_FRAME_PAYLOAD - SLICE_ROOM)
     }
 
     fn external_work(&self, fr: &Frames<M>) -> bool {
