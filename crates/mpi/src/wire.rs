@@ -6,9 +6,11 @@
 //!   (Figure 1(a)/(b)): the payload rides along with the match header.
 //! * [`WireMsg::Rts`] / [`WireMsg::Cts`] / [`WireMsg::Data`] — the
 //!   rendezvous handshake (Figure 1(c)): the sender announces, the
-//!   receiver clears, the data follows in one or more chunks
-//!   ([`WireMsg::DataAck`] provides the pipeline-mode flow control with a
-//!   bounded number of in-flight chunks).
+//!   receiver clears, the data follows in one or more slices. On the sim
+//!   fabric [`WireMsg::DataAck`] provides the pipeline-mode flow control
+//!   with a bounded number of in-flight chunks; the byte transports are
+//!   reliable and FIFO, so there the CTS alone is the flow control and
+//!   nobody acks (see `protocol::DataPlan`).
 
 use mpfa_transport::codec::{put_i32, put_u64, ByteReader};
 use mpfa_transport::{FrameCodec, MpfaBytes};
@@ -53,18 +55,20 @@ pub enum WireMsg {
         /// Receiver-side request id, echoed in DATA packets.
         recv_id: u64,
     },
-    /// One chunk of a rendezvous payload.
+    /// One slice of a rendezvous payload (possibly empty: an empty
+    /// payload still sends one).
     Data {
         /// Receiver-side request id from the CTS.
         recv_id: u64,
-        /// Byte offset of this chunk in the full payload.
+        /// Byte offset of this slice in the full payload.
         offset: usize,
-        /// Chunk bytes (a slice of the sender's payload view; no
-        /// per-chunk copy on the send side).
+        /// Slice bytes (a view of the sender's payload; no per-slice
+        /// copy on the send side).
         data: MpfaBytes,
     },
     /// Receiver flow-control credit: one chunk landed; the sender may
-    /// inject another (pipeline mode's bounded concurrency).
+    /// inject another (pipeline mode's bounded concurrency). Sent only
+    /// on transports without `reliable_fifo`, i.e. the sim fabric.
     DataAck {
         /// Sender-side request id.
         send_id: u64,
@@ -95,8 +99,8 @@ pub enum WireMsg {
     /// Rendezvous announce for a bound persistent send above the eager
     /// threshold. The receiver registers the transfer against the slot's
     /// armed buffer and replies with an ordinary [`WireMsg::Cts`]; the
-    /// chunked Data/DataAck pipeline is reused unchanged (it is already
-    /// id-addressed and match-free).
+    /// data then travels exactly like a one-shot rendezvous (it is
+    /// already id-addressed and match-free).
     RefireRts {
         /// Receiver-side slot id.
         slot: u64,
