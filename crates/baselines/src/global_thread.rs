@@ -98,7 +98,12 @@ mod tests {
             assert!(wtime() - t0 < 5.0);
             std::hint::spin_loop();
         }
-        assert!(bg.iterations() > 0);
+        // The thread counts a sweep only after `progress` returns, so the
+        // sweep that finished the task may not be counted yet.
+        while bg.iterations() == 0 {
+            assert!(wtime() - t0 < 5.0, "thread never finished a sweep");
+            std::hint::spin_loop();
+        }
         bg.disable();
     }
 

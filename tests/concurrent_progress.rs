@@ -11,7 +11,7 @@
 //! there is no wall-clock window to miss.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use mpfa::core::{wtime, AsyncPoll, AsyncThing, Stream};
 
@@ -144,11 +144,16 @@ fn combined_waiters_report_sweeps_that_ran_for_them() {
     // each thread would race the advancing clock: a late starter's window
     // could outlive the main thread's advance loop and spin forever).
     let t_end = 0.02;
+    // Every worker is running before the first advance, so none can find
+    // the window already closed.
+    let start = Barrier::new(5);
     std::thread::scope(|scope| {
         for _ in 0..4 {
             let stream = stream.clone();
             let sweeps = sweeps_observed.clone();
+            let start = &start;
             scope.spawn(move || {
+                start.wait();
                 // Virtual window: ends when the main thread has advanced
                 // the clock far enough, not when a wall timer expires.
                 while wtime() < t_end {
@@ -159,6 +164,7 @@ fn combined_waiters_report_sweeps_that_ran_for_them() {
                 }
             });
         }
+        start.wait();
         while clk.now() < t_end {
             clk.advance(1e-3);
             std::thread::yield_now();
