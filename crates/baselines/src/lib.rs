@@ -10,7 +10,7 @@
 //!   (Section 5.1).
 //! * [`adaptive_thread`] — the MVAPICH refinement: the async thread sleeps
 //!   whenever progress is not needed, waking on demand (Section 5.1).
-//! * [`polling`] — the classic request-array test/test-any loops that the
+//! * [`polling`] — the classic request-array test loops that the
 //!   extension APIs replace: every test drives a redundant progress call
 //!   and requires sharing request objects with the polling context
 //!   (Sections 2.5–2.6).

@@ -59,22 +59,6 @@ pub fn wait_all_by_testing(requests: &[Request]) -> (Vec<Status>, PollStats) {
     )
 }
 
-/// `MPI_Testany`-style loop: poll until ANY request completes; returns its
-/// index and status.
-pub fn wait_any_by_testing(requests: &[Request]) -> (usize, Status, PollStats) {
-    assert!(!requests.is_empty(), "wait_any on empty set");
-    let mut stats = PollStats::default();
-    loop {
-        stats.sweeps += 1;
-        for (i, req) in requests.iter().enumerate() {
-            stats.tests += 1;
-            if let Some(status) = req.test() {
-                return (i, status, stats);
-            }
-        }
-    }
-}
-
 /// The extension-API equivalent, for comparison: ONE progress call per
 /// sweep (`MPIX_Stream_progress`), completion checks via the
 /// side-effect-free `is_complete`. Returns the same statuses plus the
@@ -131,16 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn testany_returns_first_completion() {
-        let stream = Stream::create();
-        let reqs = timed_requests(&stream, 4, 0.002);
-        let (idx, status, stats) = wait_any_by_testing(&reqs);
-        assert!(idx < 4);
-        assert!(!status.cancelled);
-        assert!(stats.tests >= 1);
-    }
-
-    #[test]
     fn stream_progress_costs_one_call_per_sweep_testing_costs_many() {
         // The headline comparison: per-sweep progress cost is 1 call for
         // the stream variant and up-to-N calls for the testing variant.
@@ -166,11 +140,5 @@ mod tests {
             stats.tests,
             stats.sweeps
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn wait_any_on_empty_panics() {
-        let _ = wait_any_by_testing(&[]);
     }
 }

@@ -301,7 +301,7 @@ impl Executor {
     }
 
     /// Completion requests of every task currently in flight.
-    pub fn task_requests(&self) -> Vec<Request> {
+    pub(crate) fn task_requests(&self) -> Vec<Request> {
         self.inner
             .tasks
             .lock()

@@ -105,7 +105,7 @@ impl ProgressState {
 
     /// Do not poll user async tasks on this call.
     #[must_use]
-    pub fn without_tasks(mut self) -> Self {
+    pub(crate) fn without_tasks(mut self) -> Self {
         self.poll_tasks = false;
         self
     }
@@ -118,7 +118,7 @@ impl ProgressState {
 
     /// Whether user tasks are polled by this state.
     #[inline]
-    pub fn polls_tasks(&self) -> bool {
+    pub(crate) fn polls_tasks(&self) -> bool {
         self.poll_tasks
     }
 }
@@ -177,13 +177,6 @@ pub struct EngineStats {
     pub task_polls: u64,
     /// User tasks completed.
     pub task_completions: u64,
-}
-
-impl EngineStats {
-    /// Total hook polls across all classes.
-    pub fn total_hook_polls(&self) -> u64 {
-        self.hook_polls.iter().sum()
-    }
 }
 
 /// The collated progress engine of one stream. Always driven under the
@@ -782,7 +775,7 @@ mod tests {
         assert_eq!(st.hook_short_circuits, 1);
         assert_eq!(st.task_polls, 1);
         assert_eq!(st.task_completions, 1);
-        assert_eq!(st.total_hook_polls(), 1);
+        assert_eq!(st.hook_polls.iter().sum::<u64>(), 1);
     }
 
     #[test]
@@ -794,7 +787,7 @@ mod tests {
         e.poll(&ProgressState::default(), sid());
         e.poll(&ProgressState::default(), sid());
         assert_eq!(e.stats().hook_idle_skips, 2);
-        assert_eq!(e.stats().total_hook_polls(), 0);
+        assert_eq!(e.stats().hook_polls.iter().sum::<u64>(), 0);
     }
 
     struct ReverseOrder;

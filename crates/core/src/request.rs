@@ -296,7 +296,7 @@ impl Request {
 
     /// `MPI_Wait`: drive the bound stream's progress until complete.
     ///
-    /// Idle sweeps back off ([`crate::spin::idle_backoff`]): spinning
+    /// Idle sweeps back off (`spin::idle_backoff`): spinning
     /// flat-out starves the producing rank when ranks outnumber cores,
     /// while a fresh waiter still completes at spin latency.
     ///
@@ -387,7 +387,7 @@ impl Request {
     }
 
     /// Index of any complete request, if one exists (no progress driven).
-    pub fn any_complete(requests: &[Request]) -> Option<usize> {
+    pub(crate) fn any_complete(requests: &[Request]) -> Option<usize> {
         requests.iter().position(Request::is_complete)
     }
 

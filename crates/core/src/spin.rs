@@ -19,21 +19,6 @@ pub fn busy_wait(seconds: f64) {
     }
 }
 
-/// Busy-spin until `cond` returns true or `timeout_s` elapses.
-/// Returns `true` if the condition was observed before the timeout.
-pub fn spin_until(mut cond: impl FnMut() -> bool, timeout_s: f64) -> bool {
-    let deadline = wtime() + timeout_s;
-    loop {
-        if cond() {
-            return true;
-        }
-        if wtime() >= deadline {
-            return false;
-        }
-        std::hint::spin_loop();
-    }
-}
-
 /// Escalating backoff for a wait loop that has seen `idle` consecutive
 /// progress sweeps with nothing to do.
 ///
@@ -48,7 +33,7 @@ pub fn spin_until(mut cond: impl FnMut() -> bool, timeout_s: f64) -> bool {
 /// of a saturated core. Any observed progress resets the caller's
 /// counter back to the spin tier.
 #[inline]
-pub fn idle_backoff(idle: u32) {
+pub(crate) fn idle_backoff(idle: u32) {
     match idle {
         0..=63 => std::hint::spin_loop(),
         64..=255 => std::thread::yield_now(),
@@ -77,24 +62,6 @@ mod tests {
         let t0 = wtime();
         busy_wait(0.002);
         assert!(wtime() - t0 >= 0.002);
-    }
-
-    #[test]
-    fn spin_until_true_immediately() {
-        assert!(spin_until(|| true, 0.0));
-    }
-
-    #[test]
-    fn spin_until_times_out() {
-        let t0 = wtime();
-        assert!(!spin_until(|| false, 0.005));
-        assert!(wtime() - t0 >= 0.005);
-    }
-
-    #[test]
-    fn spin_until_observes_late_condition() {
-        let deadline = wtime() + 0.002;
-        assert!(spin_until(|| wtime() >= deadline, 1.0));
     }
 
     #[test]

@@ -188,7 +188,7 @@ impl Stream {
 
     /// A weak reference for storing inside requests/hooks without keeping
     /// the stream alive.
-    pub fn weak(&self) -> StreamRef {
+    pub(crate) fn weak(&self) -> StreamRef {
         StreamRef {
             inner: Arc::downgrade(&self.inner),
         }
@@ -201,7 +201,7 @@ impl Stream {
     }
 
     /// Register a boxed subsystem progress hook.
-    pub fn register_boxed_hook(&self, hook: Box<dyn ProgressHook>) -> HookId {
+    pub(crate) fn register_boxed_hook(&self, hook: Box<dyn ProgressHook>) -> HookId {
         mpfa_obs::record(|| mpfa_obs::EventKind::HookRegistered {
             stream: self.inner.id.0,
             class: hook.class() as u8,
@@ -437,7 +437,7 @@ impl Stream {
     /// Continuations queued but not yet executed (a nonzero value that
     /// never drains means nobody is progressing this stream — the
     /// doctor's "completed request with unfired continuation" pathology).
-    pub fn pending_continuations(&self) -> usize {
+    pub(crate) fn pending_continuations(&self) -> usize {
         self.inner.conts_pending.load(Ordering::Acquire)
     }
 

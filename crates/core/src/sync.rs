@@ -166,11 +166,6 @@ impl Condvar {
     pub fn notify_one(&self) {
         self.inner.notify_one();
     }
-
-    /// Wake every waiter.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
 }
 
 struct Node<T> {

@@ -84,7 +84,7 @@ impl AsyncThing {
     }
 
     /// [`AsyncThing::spawn`] for non-closure [`AsyncTask`] values.
-    pub fn spawn_task(&mut self, task: impl AsyncTask + 'static) {
+    pub(crate) fn spawn_task(&mut self, task: impl AsyncTask + 'static) {
         self.spawned.push(Box::new(task));
     }
 }

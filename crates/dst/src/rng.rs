@@ -34,7 +34,7 @@ impl SimRng {
     }
 
     /// Uniform index in `0..n` (`n > 0`).
-    pub fn usize_below(&mut self, n: usize) -> usize {
+    pub(crate) fn usize_below(&mut self, n: usize) -> usize {
         self.below(n as u64) as usize
     }
 
@@ -44,7 +44,7 @@ impl SimRng {
     }
 
     /// Bernoulli draw with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
     }
 
@@ -59,7 +59,7 @@ impl SimRng {
 
     /// An independent generator derived from this one's stream, for
     /// components that must not perturb each other's draw sequence.
-    pub fn fork(&mut self) -> SimRng {
+    pub(crate) fn fork(&mut self) -> SimRng {
         // Re-mix so the child's stream shares no prefix with the parent.
         SimRng::new(self.next_u64() ^ 0x5851_f42d_4c95_7f2d)
     }

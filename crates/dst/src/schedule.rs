@@ -69,7 +69,7 @@ impl Schedule {
     /// A controller drawing from an externally-forked rng stream (the
     /// simulation driver keeps a sibling fork for action selection, so
     /// the two decision streams never perturb each other).
-    pub fn with_rng(seed: u64, cfg: ScheduleCfg, rng: SimRng) -> Schedule {
+    pub(crate) fn with_rng(seed: u64, cfg: ScheduleCfg, rng: SimRng) -> Schedule {
         Schedule {
             seed,
             cfg,
@@ -85,7 +85,7 @@ impl Schedule {
     }
 
     /// Tell the controller which rank owns `stream` (for trace labels).
-    pub fn register_stream(&self, stream: StreamId, rank: usize) {
+    pub(crate) fn register_stream(&self, stream: StreamId, rank: usize) {
         self.ranks
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -106,15 +106,6 @@ impl Schedule {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .render()
-    }
-
-    /// Number of decisions recorded so far.
-    pub fn trace_len(&self) -> usize {
-        self.trace
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .steps
-            .len()
     }
 }
 
@@ -210,7 +201,7 @@ mod tests {
             },
         );
         assert_eq!(s.order(some_stream_id(), 0, 4), vec![0, 1, 2, 3]);
-        assert_eq!(s.trace_len(), 0);
+        assert!(s.trace_string().contains("steps=0"));
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl FabricConfig {
 
     /// The node index hosting `rank`.
     #[inline]
-    pub fn node_of(&self, rank: usize) -> usize {
+    pub(crate) fn node_of(&self, rank: usize) -> usize {
         rank / self.node_size.max(1)
     }
 
@@ -113,7 +113,7 @@ impl FabricConfig {
 
     /// Transmission (serialization) time for `bytes` from `src` to `dst`.
     #[inline]
-    pub fn tx_time(&self, src: usize, dst: usize, bytes: usize) -> f64 {
+    pub(crate) fn tx_time(&self, src: usize, dst: usize, bytes: usize) -> f64 {
         let bw = if self.same_node(src, dst) {
             self.intra_bandwidth
         } else {

@@ -124,19 +124,6 @@ impl<M: Send> Endpoint<M> {
         self.fabric.poll(self.rank, Path::Shmem)
     }
 
-    /// Drain up to `max` arrived network-path packets into `out` with one
-    /// heap-lock acquisition (and none at all when nothing is due).
-    /// Returns the number appended.
-    pub fn poll_net_batch(&self, max: usize, out: &mut Vec<Envelope<M>>) -> usize {
-        self.fabric.poll_batch(self.rank, Path::Net, max, out)
-    }
-
-    /// Drain up to `max` arrived shmem-path packets into `out`; see
-    /// [`Endpoint::poll_net_batch`].
-    pub fn poll_shmem_batch(&self, max: usize, out: &mut Vec<Envelope<M>>) -> usize {
-        self.fabric.poll_batch(self.rank, Path::Shmem, max, out)
-    }
-
     /// Packets queued on the network path (arrived or in flight). One
     /// atomic read — this is a progress hook's `has_work` answer.
     pub fn queued_net(&self) -> usize {

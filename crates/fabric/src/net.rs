@@ -244,11 +244,6 @@ impl<M: Send> Fabric<M> {
         Endpoint::new(self.clone(), rank)
     }
 
-    /// Total packets injected on the network path so far.
-    pub fn packets_net(&self) -> u64 {
-        self.inner.counters.msgs_net.load(Ordering::Relaxed)
-    }
-
     /// Total packets injected on the shmem path so far.
     pub fn packets_shmem(&self) -> u64 {
         self.inner.counters.msgs_shm.load(Ordering::Relaxed)
@@ -409,7 +404,7 @@ mod tests {
         f.send(0, 2, 8, 0);
         assert!(f.poll(2, Path::Shmem).is_none());
         assert_eq!(f.poll(2, Path::Net).unwrap().msg, 8);
-        assert_eq!(f.packets_net(), 1);
+        assert_eq!(f.stats().packets_net, 1);
         assert_eq!(f.packets_shmem(), 1);
     }
 
@@ -545,7 +540,7 @@ mod tests {
         f.send(0, 1, 1, 100);
         f.send(1, 0, 2, 50);
         assert_eq!(f.bytes_total(), 150);
-        assert_eq!(f.packets_net(), 2);
+        assert_eq!(f.stats().packets_net, 2);
     }
 
     #[test]

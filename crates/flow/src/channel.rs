@@ -117,12 +117,12 @@ impl OutBatch {
 
     /// True once the batch should be flushed to keep messages under the
     /// listener capacity.
-    pub fn should_flush(&self, flush_records: usize) -> bool {
+    pub(crate) fn should_flush(&self, flush_records: usize) -> bool {
         self.buf.len() >= FLUSH_BYTES || self.count as usize >= flush_records
     }
 
     /// Drain into a complete records message, or `None` if empty.
-    pub fn take_message(&mut self) -> Option<Vec<u8>> {
+    pub(crate) fn take_message(&mut self) -> Option<Vec<u8>> {
         if self.count == 0 {
             return None;
         }
@@ -136,7 +136,7 @@ impl OutBatch {
 }
 
 /// Build a progress (capability-delta gossip) message.
-pub fn progress_message(deltas: &[(Timestamp, i64)]) -> Vec<u8> {
+pub(crate) fn progress_message(deltas: &[(Timestamp, i64)]) -> Vec<u8> {
     let mut msg = Vec::with_capacity(5 + 16 * deltas.len());
     msg.push(MSG_PROGRESS);
     msg.extend_from_slice(&(deltas.len() as u32).to_le_bytes());
@@ -158,7 +158,7 @@ pub enum FlowMsg {
 
 /// Decode one flow message. `None` on malformed input (a protocol bug,
 /// surfaced by the caller).
-pub fn decode_message(data: &[u8]) -> Option<FlowMsg> {
+pub(crate) fn decode_message(data: &[u8]) -> Option<FlowMsg> {
     let kind = *data.first()?;
     let n = u32::from_le_bytes(data.get(1..5)?.try_into().ok()?) as usize;
     let mut pos = 5;

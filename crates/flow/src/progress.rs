@@ -36,7 +36,7 @@ impl CapSet {
 
     /// A multiset holding one capability at `t` — every participant's
     /// starting state.
-    pub fn singleton(t: Timestamp) -> CapSet {
+    pub(crate) fn singleton(t: Timestamp) -> CapSet {
         let mut s = CapSet::new();
         s.update(t, 1);
         s
@@ -92,7 +92,7 @@ impl CapSet {
 
     /// Drop every capability, returning the `(timestamp, delta)`
     /// changes.
-    pub fn drop_all(&mut self) -> Vec<(Timestamp, i64)> {
+    pub(crate) fn drop_all(&mut self) -> Vec<(Timestamp, i64)> {
         let deltas: Vec<(Timestamp, i64)> = self
             .counts
             .iter()

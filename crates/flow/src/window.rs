@@ -85,7 +85,7 @@ impl WindowCfg {
     }
 
     /// The window that slot `s` belongs to.
-    pub fn window_of(&self, s: u64) -> u64 {
+    pub(crate) fn window_of(&self, s: u64) -> u64 {
         s / self.events_per_window
     }
 }
@@ -99,7 +99,7 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// The event at slot `s`: `(key, value)`. Pure — this function is the
 /// redo log.
-pub fn event_for(cfg: &WindowCfg, s: u64) -> (u64, u64) {
+pub(crate) fn event_for(cfg: &WindowCfg, s: u64) -> (u64, u64) {
     let h = splitmix64(cfg.seed ^ s.wrapping_mul(0xa076_1d64_78bd_642f));
     (h % cfg.keys, (h >> 33) % 1024)
 }
@@ -118,7 +118,7 @@ pub fn expected_output(cfg: &WindowCfg) -> BTreeMap<u64, (u64, u64)> {
 }
 
 /// Which rank owns (emits) window `w` in an `n`-rank pipeline.
-pub fn owner_of(w: u64, n: usize) -> usize {
+pub(crate) fn owner_of(w: u64, n: usize) -> usize {
     (w % n as u64) as usize
 }
 

@@ -13,31 +13,24 @@
 //!   progress hook managing an ordered task queue, making response latency
 //!   independent of the number of pending tasks (Figure 10).
 //! * [`callbacks`] — request-completion events via an is-complete scan
-//!   (Listing 1.6), the "poor man's continuations" of Section 5.4.
-//! * [`continuation`] — an `MPIX_Continue`-style API (Section 5.4) built
-//!   on the callback engine.
+//!   (Listing 1.6), the "poor man's continuations" of Section 5.4. The
+//!   native `MPIX_Continue` is `mpfa-async`'s `ContinuationRequest`.
 //! * [`schedule`] — an `MPIX_Schedule`-style rounds API (Section 5.3).
 //! * [`engine`] — the Section 3.5 programming scheme: a progress engine
 //!   thread driving `MPIX_Stream_progress`, decoupled from task contexts.
 //! * [`task_graph`] — a DAG executor advanced by one `MPIX_Async` hook:
 //!   the task-based-runtime integration the paper motivates in Section 1.
-//! * [`futures`] — `std::future::Future` adapters and a `block_on` whose
-//!   idle loop is one `MPIX_Stream_progress` call: the async/await
-//!   integration of Section 2.2.
 
 #![warn(missing_docs)]
 
 pub mod callbacks;
-pub mod continuation;
 pub mod engine;
-pub mod futures;
 pub mod schedule;
 pub mod task_class;
 pub mod task_graph;
 pub mod user_coll;
 
 pub use callbacks::CompletionNotifier;
-pub use continuation::ContinuationContext;
 pub use engine::ProgressEngine;
 pub use schedule::ScheduleBuilder;
 pub use task_class::TaskClass;

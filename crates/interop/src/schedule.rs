@@ -49,11 +49,6 @@ impl ScheduleBuilder {
         self
     }
 
-    /// Number of rounds with at least one operation.
-    pub fn round_count(&self) -> usize {
-        self.rounds.iter().filter(|r| !r.is_empty()).count()
-    }
-
     /// `MPIX_Schedule_commit`: launch the schedule on `stream`, returning
     /// the request that completes when the final round does.
     pub fn commit(self, stream: &Stream) -> Request {
@@ -129,7 +124,6 @@ mod tests {
         b.add_operation(op(&stream, "b1", log.clone()));
         b.create_round();
         b.add_operation(op(&stream, "c1", log.clone()));
-        assert_eq!(b.round_count(), 3);
         let req = b.commit(&stream);
         req.wait();
         let log = log.lock();

@@ -132,7 +132,7 @@ pub fn my_allreduce(comm: &Comm, buf: Vec<i32>) -> MpiResult<Vec<i32>> {
 
 /// Nonblocking user-level dissemination barrier via `MPIX_Async` — same
 /// pattern, zero payload.
-pub fn my_ibarrier(comm: &Comm) -> MpiResult<UserCollFuture<i32>> {
+pub(crate) fn my_ibarrier(comm: &Comm) -> MpiResult<UserCollFuture<i32>> {
     let size = comm.size();
     let done = Arc::new(AtomicBool::new(false));
     let out = Arc::new(Mutex::new(Vec::new()));
@@ -186,123 +186,6 @@ pub fn my_barrier(comm: &Comm) -> MpiResult<()> {
         stream.progress();
     }
     Ok(())
-}
-
-const MYBCAST_TAG: i32 = 0x7ee1;
-
-/// Nonblocking user-level binomial broadcast via `MPIX_Async`: the root
-/// passes `Some(data)`, others pass `None` with the expected `count`.
-/// Root fixed at rank 0 (a deliberate Listing-1.8-style shortcut).
-pub fn my_ibcast(
-    comm: &Comm,
-    data: Option<Vec<i32>>,
-    count: usize,
-) -> MpiResult<UserCollFuture<i32>> {
-    let size = comm.size();
-    let rank = comm.rank() as usize;
-    let done = Arc::new(AtomicBool::new(false));
-    let out = Arc::new(Mutex::new(Vec::new()));
-    let fut = UserCollFuture {
-        done: done.clone(),
-        buf: out.clone(),
-    };
-
-    let is_root = rank == 0;
-    let buf = match (is_root, data) {
-        (true, Some(d)) => {
-            if d.len() != count {
-                return Err(MpiError::CountMismatch {
-                    got: d.len(),
-                    expected: count,
-                });
-            }
-            d
-        }
-        (true, None) => {
-            return Err(MpiError::CountMismatch {
-                got: 0,
-                expected: count,
-            })
-        }
-        (false, _) => Vec::new(),
-    };
-    if size == 1 {
-        *out.lock() = buf;
-        done.store(true, Ordering::Release);
-        return Ok(fut);
-    }
-
-    // Binomial peers (root-relative == absolute, root is 0).
-    let mut mask = 1usize;
-    let mut recv_from: Option<usize> = None;
-    while mask < size {
-        if rank & mask != 0 {
-            recv_from = Some(rank - mask);
-            break;
-        }
-        mask <<= 1;
-    }
-    let mut dsts = Vec::new();
-    let mut m = mask >> 1;
-    while m > 0 {
-        if rank + m < size {
-            dsts.push(rank + m);
-        }
-        m >>= 1;
-    }
-
-    let comm = comm.clone();
-    let stream = comm.stream().clone();
-    let mut payload = buf;
-    let mut recv: Option<RecvRequest<i32>> = recv_from
-        .map(|src| comm.irecv::<i32>(count, src as i32, MYBCAST_TAG))
-        .transpose()?;
-    let mut sends: Option<Vec<Request>> = None;
-    if recv.is_none() {
-        // Root forwards immediately.
-        sends = Some(
-            dsts.iter()
-                .map(|&d| comm.isend(&payload, d as i32, MYBCAST_TAG))
-                .collect::<MpiResult<_>>()?,
-        );
-    }
-    stream.async_start(move |_t| {
-        if let Some(r) = &recv {
-            if !r.is_complete() {
-                return AsyncPoll::Pending;
-            }
-            payload = recv.take().expect("present").take().0;
-            match dsts
-                .iter()
-                .map(|&d| comm.isend(&payload, d as i32, MYBCAST_TAG))
-                .collect::<MpiResult<Vec<_>>>()
-            {
-                Ok(s) => sends = Some(s),
-                Err(_) => unreachable!("peers validated"),
-            }
-        }
-        let all_sent = sends
-            .as_ref()
-            .map(|s| Request::all_complete(s))
-            .unwrap_or(true);
-        if !all_sent {
-            return AsyncPoll::Pending;
-        }
-        *out.lock() = std::mem::take(&mut payload);
-        done.store(true, Ordering::Release);
-        AsyncPoll::Done
-    });
-    Ok(fut)
-}
-
-/// Blocking user-level broadcast from rank 0.
-pub fn my_bcast(comm: &Comm, data: Option<Vec<i32>>, count: usize) -> MpiResult<Vec<i32>> {
-    let fut = my_ibcast(comm, data, count)?;
-    let stream = comm.stream().clone();
-    while !fut.is_complete() {
-        stream.progress();
-    }
-    Ok(fut.take())
 }
 
 #[cfg(test)]
@@ -379,52 +262,6 @@ mod tests {
         for seen in results {
             assert_eq!(seen, 4);
         }
-    }
-
-    #[test]
-    fn my_bcast_delivers_everywhere() {
-        for n in [1, 2, 3, 5, 8] {
-            let results = run_ranks(n, |proc| {
-                let comm = proc.world_comm();
-                if proc.rank() == 0 {
-                    my_bcast(&comm, Some(vec![7, 8, 9]), 3).unwrap()
-                } else {
-                    my_bcast(&comm, None, 3).unwrap()
-                }
-            });
-            for out in results {
-                assert_eq!(out, vec![7, 8, 9], "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn my_bcast_root_needs_data() {
-        let results = run_ranks(1, |proc| {
-            let comm = proc.world_comm();
-            my_ibcast(&comm, None, 3).is_err()
-        });
-        assert!(results[0]);
-    }
-
-    #[test]
-    fn my_bcast_agrees_with_native() {
-        let results = run_ranks(6, |proc| {
-            let comm = proc.world_comm();
-            let mut native = if proc.rank() == 0 {
-                vec![1i32, 2, 3, 4]
-            } else {
-                Vec::new()
-            };
-            comm.bcast(&mut native, 4, 0).unwrap();
-            let user = if proc.rank() == 0 {
-                my_bcast(&comm, Some(vec![1, 2, 3, 4]), 4).unwrap()
-            } else {
-                my_bcast(&comm, None, 4).unwrap()
-            };
-            native == user
-        });
-        assert!(results.iter().all(|&eq| eq));
     }
 
     #[test]

@@ -120,7 +120,10 @@ pub(crate) mod testutil {
     }
 
     /// `run_ranks` with an explicit world configuration.
-    pub fn run_ranks_cfg<R: Send>(cfg: WorldConfig, f: impl Fn(Proc) -> R + Send + Sync) -> Vec<R> {
+    pub(crate) fn run_ranks_cfg<R: Send>(
+        cfg: WorldConfig,
+        f: impl Fn(Proc) -> R + Send + Sync,
+    ) -> Vec<R> {
         let procs = World::init(cfg);
         let f = &f;
         std::thread::scope(|s| {

@@ -121,15 +121,6 @@ impl Comm {
         &self.group
     }
 
-    /// Translate a world rank into this communicator's rank, if the world
-    /// rank is a member.
-    pub fn rank_of_world(&self, world_rank: usize) -> Option<i32> {
-        self.group
-            .iter()
-            .position(|&w| w == world_rank)
-            .map(|p| p as i32)
-    }
-
     pub(crate) fn check_rank(&self, r: i32) -> MpiResult<()> {
         if r < 0 || r as usize >= self.group.len() {
             return Err(MpiError::InvalidRank {
@@ -537,8 +528,6 @@ mod tests {
         let results = run_ranks(4, |proc| {
             let comm = proc.world_comm();
             assert_eq!(comm.group(), &[0, 1, 2, 3]);
-            assert_eq!(comm.rank_of_world(2), Some(2));
-            assert_eq!(comm.rank_of_world(9), None);
             assert_eq!(comm.world_rank(comm.rank()).unwrap(), proc.rank());
             (comm.rank(), comm.size())
         });

@@ -111,7 +111,7 @@ fn blocks_in(layout: &Layout) -> usize {
 /// Build an incremental *pack* job: gather `layout`-selected elements of
 /// `data` into a dense vector, `segment_blocks` blocks per step, then hand
 /// the packed vector to `on_done`.
-pub fn pack_job<T: MpiType>(
+pub(crate) fn pack_job<T: MpiType>(
     data: Vec<T>,
     layout: Layout,
     segment_blocks: usize,
@@ -143,7 +143,7 @@ pub fn pack_job<T: MpiType>(
 /// Build an incremental *unpack* job: scatter a dense `packed` vector into
 /// a `layout`-shaped buffer of `extent` elements (zero-filled gaps), then
 /// hand the result to `on_done`.
-pub fn unpack_job<T: MpiType + Default>(
+pub(crate) fn unpack_job<T: MpiType + Default>(
     packed: Vec<T>,
     layout: Layout,
     segment_blocks: usize,

@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod async_api;
-pub mod cart;
 pub mod collectives;
 pub mod comm;
 pub mod datatype;
@@ -56,7 +55,6 @@ pub mod vector_ops;
 pub mod wire;
 pub mod world;
 
-pub use cart::{dims_create, CartComm};
 pub use collectives::CollFuture;
 pub use comm::{Comm, ANY_SOURCE, ANY_TAG};
 pub use datatype::{Layout, MpiType};

@@ -86,7 +86,7 @@ impl RecvSlot {
 
     /// Ensure capacity `total` and copy `bytes` at `offset` (rendezvous
     /// chunk reassembly — necessarily a copy, counted as such).
-    pub fn write_at(&self, total: usize, offset: usize, bytes: &[u8]) {
+    pub(crate) fn write_at(&self, total: usize, offset: usize, bytes: &[u8]) {
         use std::sync::atomic::Ordering;
         let mut data = self.data.lock();
         // Reassembly scatters into an owned buffer; a view that somehow
@@ -112,7 +112,7 @@ impl RecvSlot {
 
     /// Take the accumulated bytes out of the slot as an owned vector.
     /// Flattening a view costs one (counted) copy; callers that can keep
-    /// the payload as a slice use [`RecvSlot::take_bytes`] instead.
+    /// the payload as a slice use `RecvSlot::take_bytes` instead.
     pub fn take(&self) -> Vec<u8> {
         use std::sync::atomic::Ordering;
         match std::mem::take(&mut *self.data.lock()) {
@@ -130,7 +130,7 @@ impl RecvSlot {
     /// Take the accumulated bytes out of the slot without copying: a
     /// delivered view passes through as-is, an owned buffer is moved
     /// into a view.
-    pub fn take_bytes(&self) -> MpfaBytes {
+    pub(crate) fn take_bytes(&self) -> MpfaBytes {
         match std::mem::take(&mut *self.data.lock()) {
             SlotData::Empty => MpfaBytes::empty(),
             SlotData::Owned(v) => MpfaBytes::from(v),
@@ -419,7 +419,7 @@ impl MatchState {
     /// Wildcard fields are passed through as-is ([`ANY_SOURCE`] /
     /// [`ANY_TAG`]), so a predicate testing `src == some_rank` naturally
     /// leaves `ANY_SOURCE` receives in place.
-    pub fn drain_posted(&mut self, pred: &dyn Fn(i32, i32) -> bool) -> Vec<PostedRecv> {
+    pub(crate) fn drain_posted(&mut self, pred: &dyn Fn(i32, i32) -> bool) -> Vec<PostedRecv> {
         let mut out = Vec::new();
         self.posted_exact.retain(|&(src, tag), q| {
             if pred(src, tag) {
@@ -502,7 +502,8 @@ impl LinearMatchState {
     }
 
     /// See [`MatchState::drain_posted`].
-    pub fn drain_posted(&mut self, pred: &dyn Fn(i32, i32) -> bool) -> Vec<PostedRecv> {
+    #[cfg(test)]
+    pub(crate) fn drain_posted(&mut self, pred: &dyn Fn(i32, i32) -> bool) -> Vec<PostedRecv> {
         let mut out = Vec::new();
         let mut keep = VecDeque::with_capacity(self.posted.len());
         for r in self.posted.drain(..) {

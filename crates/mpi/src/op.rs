@@ -101,11 +101,6 @@ impl Op {
     pub fn apply<T: Reducible>(self, inout: &mut [T], input: &[T]) -> MpiResult<()> {
         T::reduce(self, inout, input)
     }
-
-    /// Whether the op is commutative (all built-ins are).
-    pub fn is_commutative(self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -171,20 +166,5 @@ mod tests {
     fn mismatched_lengths_panic() {
         let mut a = vec![1i32];
         let _ = Op::Sum.apply(&mut a, &[1, 2]);
-    }
-
-    #[test]
-    fn all_ops_commutative() {
-        for op in [
-            Op::Sum,
-            Op::Prod,
-            Op::Max,
-            Op::Min,
-            Op::Band,
-            Op::Bor,
-            Op::Bxor,
-        ] {
-            assert!(op.is_commutative());
-        }
     }
 }

@@ -505,11 +505,6 @@ impl PartitionedSend {
         self.partitions
     }
 
-    /// Bytes per partition (the last partition may be shorter).
-    pub fn partition_size(&self) -> usize {
-        self.data.len().div_ceil(self.partitions)
-    }
-
     /// The round payload view.
     pub fn payload(&self) -> &MpfaBytes {
         &self.data

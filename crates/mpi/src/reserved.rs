@@ -57,11 +57,6 @@ impl ReservedCtx {
     }
 }
 
-/// Is `ctx` inside the reserved control-plane band?
-pub const fn is_reserved_ctx(ctx: u64) -> bool {
-    ctx >= RESERVED_CTX_FLOOR
-}
-
 /// A claimed control-plane port: VCI 0 scoped to one [`ReservedCtx`].
 ///
 /// Sends are fire-and-forget buffered (born complete, no TX tracking —
@@ -96,11 +91,6 @@ impl CtrlPort {
     /// This rank's world index.
     pub fn my_world(&self) -> usize {
         self.my_world
-    }
-
-    /// World size.
-    pub fn world_size(&self) -> usize {
-        self.world.size()
     }
 
     /// Fire-and-forget control send to `dst_world`.
@@ -146,7 +136,10 @@ mod tests {
     #[test]
     fn reserved_ids_are_distinct_and_in_band() {
         for (i, a) in ReservedCtx::ALL.iter().enumerate() {
-            assert!(is_reserved_ctx(a.ctx()), "{a:?} below the reserved floor");
+            assert!(
+                a.ctx() >= RESERVED_CTX_FLOOR,
+                "{a:?} below the reserved floor"
+            );
             for b in &ReservedCtx::ALL[i + 1..] {
                 assert_ne!(a.ctx(), b.ctx(), "{a:?} and {b:?} collide");
             }

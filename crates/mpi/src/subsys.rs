@@ -166,7 +166,7 @@ impl ProgressHook for NetmodHook {
 /// Register the full Listing-1.1 hook set for one VCI on its stream.
 /// Returns the hook ids in registration order
 /// (dt-engine, coll-sched, shmem, netmod).
-pub fn register_all(
+pub(crate) fn register_all(
     vci: &Arc<Vci>,
     dt: &Arc<DtEngine>,
     sched: &Arc<SchedQueue>,
@@ -243,7 +243,7 @@ mod tests {
 
         let (rreq, slot) = v1.irecv_bytes(9, 0, 5, 1024);
         let sreq = v0.isend_bytes(
-            v1.ep_index(),
+            1,
             MsgHeader {
                 context_id: 9,
                 src_rank: 0,

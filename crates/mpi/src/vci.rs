@@ -300,11 +300,6 @@ impl Vci {
         &self.stream
     }
 
-    /// The wire endpoint index of this VCI.
-    pub fn ep_index(&self) -> usize {
-        self.ep
-    }
-
     /// Protocol tunables in force.
     pub fn proto(&self) -> &ProtoConfig {
         &self.proto
@@ -328,7 +323,7 @@ impl Vci {
     /// True when the transport can make progress invisible to
     /// [`Vci::queued_net`] — bytes in kernel socket buffers, pending
     /// reconnects. Always false on the simulated fabric.
-    pub fn transport_work(&self) -> bool {
+    pub(crate) fn transport_work(&self) -> bool {
         self.port.external_work()
     }
 
@@ -583,7 +578,11 @@ impl Vci {
     /// rendezvous receives whose *reply* endpoint is dead (their
     /// remaining chunks can never arrive). Each affected request
     /// completes with `err`. Returns how many operations were failed.
-    pub fn fail_sends_to(&self, dead_ep: &dyn Fn(usize) -> bool, err: RequestError) -> usize {
+    pub(crate) fn fail_sends_to(
+        &self,
+        dead_ep: &dyn Fn(usize) -> bool,
+        err: RequestError,
+    ) -> usize {
         let mut failed_completers: Vec<Completer> = Vec::new();
         let mut removed_work = 0usize;
         {
@@ -638,7 +637,7 @@ impl Vci {
     /// `ANY_SOURCE` / `ANY_TAG` into the predicate unchanged, so a
     /// `src == dead_rank` predicate leaves them posted. Returns how many
     /// receives were failed.
-    pub fn fail_posted_recvs(
+    pub(crate) fn fail_posted_recvs(
         &self,
         ctx: u64,
         pred: &dyn Fn(i32, i32) -> bool,

@@ -133,17 +133,6 @@ impl WorldConfig {
         self.fabric_config().validate();
         assert!(self.max_vcis >= 1, "need at least one VCI");
     }
-
-    /// Apply the `MPFA_TRANSPORT` environment override, if set. Panics on
-    /// an unparseable value — a launcher bug, not a user error.
-    pub fn transport_from_env(mut self) -> WorldConfig {
-        match TransportKind::from_env() {
-            Ok(Some(kind)) => self.transport = kind,
-            Ok(None) => {}
-            Err(v) => panic!("bad MPFA_TRANSPORT={v} (want sim|tcp|uds|shm)"),
-        }
-        self
-    }
 }
 
 /// Context-id / VCI agreement tables.
@@ -267,11 +256,6 @@ impl Launch {
             Launch::InProcess(procs) => procs,
             Launch::Distributed(proc) => vec![proc],
         }
-    }
-
-    /// True when this process holds one rank of a multi-process world.
-    pub fn is_distributed(&self) -> bool {
-        matches!(self, Launch::Distributed(_))
     }
 }
 
@@ -592,7 +576,6 @@ mod tests {
         // The test environment has no MPFA_RANK, so launch must fall back
         // to the in-process world with every rank local.
         let launch = World::launch(WorldConfig::instant(3));
-        assert!(!launch.is_distributed());
         let procs = launch.procs();
         assert_eq!(procs.len(), 3);
         assert!(!procs[0].world().distributed());

@@ -12,7 +12,7 @@
 //!
 //! [`snapshot`]: ThreadRing::snapshot
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use crate::event::{Event, EVENT_WORDS};
@@ -159,6 +159,7 @@ fn registry() -> &'static Mutex<Vec<&'static ThreadRing>> {
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
+#[cfg(any(feature = "obs", test))]
 fn ring_cap() -> usize {
     static CAP: OnceLock<usize> = OnceLock::new();
     *CAP.get_or_init(|| {
@@ -170,8 +171,10 @@ fn ring_cap() -> usize {
     })
 }
 
-static THREAD_SEQ: AtomicUsize = AtomicUsize::new(0);
+#[cfg(any(feature = "obs", test))]
+static THREAD_SEQ: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
+#[cfg(any(feature = "obs", test))]
 thread_local! {
     static LOCAL_RING: &'static ThreadRing = {
         let n = THREAD_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -186,9 +189,10 @@ thread_local! {
     };
 }
 
+#[cfg(any(feature = "obs", test))]
 /// Record an event into the current thread's ring, creating and
 /// registering the ring on first use.
-pub fn record_local(ev: &Event) {
+pub(crate) fn record_local(ev: &Event) {
     LOCAL_RING.with(|r| r.push(ev));
 }
 

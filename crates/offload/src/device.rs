@@ -254,28 +254,6 @@ impl CopyEngine {
             }),
         )
     }
-
-    /// Asynchronous device→device copy.
-    pub fn d2d(
-        &self,
-        src: &DeviceBuffer,
-        src_off: usize,
-        dst: &DeviceBuffer,
-        dst_off: usize,
-        len: usize,
-    ) -> Request {
-        assert!(src_off + len <= src.len(), "d2d src out of bounds");
-        assert!(dst_off + len <= dst.len(), "d2d dst out of bounds");
-        let src = src.clone();
-        let dst = dst.clone();
-        self.enqueue(
-            len,
-            Box::new(move || {
-                let data = src.data.lock()[src_off..src_off + len].to_vec();
-                dst.data.lock()[dst_off..dst_off + len].copy_from_slice(&data);
-            }),
-        )
-    }
 }
 
 /// "GPU-aware send": D2H copy, then inject the message once the copy
@@ -379,18 +357,6 @@ mod tests {
         assert_eq!(*landing.lock(), vec![1, 2, 3, 4]);
         assert_eq!(engine.pending(), 0);
         assert_eq!(engine.copied_bytes(), 8);
-    }
-
-    #[test]
-    fn d2d_moves_within_device() {
-        let stream = Stream::create();
-        let engine = CopyEngine::register(&stream, DeviceConfig::instant());
-        let a = DeviceBuffer::alloc(8);
-        let b = DeviceBuffer::alloc(8);
-        engine.h2d(&[9; 8], &a, 0).wait();
-        engine.d2d(&a, 2, &b, 4, 3).wait();
-        assert_eq!(&b.debug_snapshot()[4..7], &[9, 9, 9]);
-        assert_eq!(b.debug_snapshot()[0], 0);
     }
 
     #[test]

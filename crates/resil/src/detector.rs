@@ -120,13 +120,6 @@ impl FailureDetector {
         });
     }
 
-    /// One detection pass without a transport (heartbeats and manual
-    /// reports only) — what [`FailureDetector::install`]'s task runs
-    /// each poll, exposed for transport-less embedding and tests.
-    pub fn poll_once(&self) -> bool {
-        self.sweep(None::<&dyn Transport<u8>>)
-    }
-
     /// One full detection pass against `transport` — exactly what the
     /// installed poll task runs each sweep, exposed so a deterministic
     /// simulation can *inject* detector ticks at schedule-chosen points
@@ -263,7 +256,7 @@ mod tests {
         assert_eq!(d.epoch(), 0);
         assert!(d.failure_set().is_empty());
         assert_eq!(d.alive_ranks(), vec![0, 1, 2, 3]);
-        assert!(!d.poll_once());
+        assert!(!d.tick::<u8>(None));
     }
 
     #[test]
@@ -297,7 +290,7 @@ mod tests {
         // Peer 2 never heartbeated: exempt from the quiet-period rule.
         d.heartbeat(1);
         std::thread::sleep(std::time::Duration::from_millis(2));
-        assert!(d.poll_once());
+        assert!(d.tick::<u8>(None));
         assert!(d.is_failed(1));
         assert!(!d.is_failed(2));
         assert_eq!(d.epoch(), 1);
@@ -307,7 +300,7 @@ mod tests {
     fn heartbeats_keep_a_peer_alive() {
         let d = FailureDetector::new(0, 2, DetectorConfig { quiet_period: 60.0 });
         d.heartbeat(1);
-        assert!(!d.poll_once());
+        assert!(!d.tick::<u8>(None));
         assert!(!d.is_failed(1));
     }
 
@@ -317,7 +310,7 @@ mod tests {
         d.report_failure(0);
         d.report_failure(3);
         d.report_failure(1); // self-reports are ignored
-        assert!(d.poll_once());
+        assert!(d.tick::<u8>(None));
         let set = d.failure_set();
         // Two failures merged in one sweep: one epoch bump.
         assert_eq!(set.epoch, 1);

@@ -201,7 +201,7 @@ impl Default for MpfaBytes {
 /// TX queue writes from ([`BufPool::take`] on send, [`BufPool::put`]
 /// once the frame is flushed), the other supplies the frame-sized
 /// receive buffers that incomplete frames are read straight into
-/// ([`BufPool::take_sized`], then [`BufPool::freeze`]: the buffer comes
+/// (`BufPool::take_sized`, then [`BufPool::freeze`]: the buffer comes
 /// back when the last [`MpfaBytes`] view of the frame drops). Reusing
 /// the large ones is what keeps the allocator from trimming and
 /// re-faulting their pages on every bulk message.
@@ -234,7 +234,7 @@ impl BufPool {
     /// Check out a buffer of exactly `len` bytes whose contents are
     /// unspecified (stale bytes of an earlier use, or zeros): for
     /// callers that overwrite all of it, which saves re-zeroing.
-    pub fn take_sized(&self, len: usize) -> Vec<u8> {
+    pub(crate) fn take_sized(&self, len: usize) -> Vec<u8> {
         match self.pop() {
             Some(mut buf) => {
                 buf.resize(len, 0);

@@ -115,11 +115,6 @@ impl FrameCodec for MpfaBytes {
     }
 }
 
-/// Append a `u32` little-endian.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Append a `u64` little-endian.
 pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -192,7 +187,7 @@ mod tests {
     #[test]
     fn scalar_roundtrip() {
         let mut buf = Vec::new();
-        put_u32(&mut buf, 0xDEAD_BEEF);
+        buf.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
         put_u64(&mut buf, u64::MAX - 1);
         put_i32(&mut buf, -42);
         buf.extend_from_slice(b"tail");

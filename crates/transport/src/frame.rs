@@ -178,7 +178,7 @@ impl TxQueue {
 
     /// The connection was replaced: the front frame goes out again
     /// from its first byte.
-    pub fn rewind(&mut self) {
+    pub(crate) fn rewind(&mut self) {
         self.bytes += self.off;
         self.off = 0;
     }

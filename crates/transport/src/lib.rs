@@ -253,19 +253,6 @@ pub fn mesh_kill<M: Send>(mesh: &[Arc<dyn Transport<M>>], victim: usize) {
     }
 }
 
-/// Chaos helper: schedule `victim`'s death at process-clock time `at`
-/// on every other rank's transport (see [`Transport::schedule_kill`]).
-/// Returns true if every non-victim transport accepted the schedule.
-pub fn mesh_schedule_kill<M: Send>(mesh: &[Arc<dyn Transport<M>>], victim: usize, at: f64) -> bool {
-    let mut all = true;
-    for (r, t) in mesh.iter().enumerate() {
-        if r != victim {
-            all &= t.schedule_kill(victim, at);
-        }
-    }
-    all
-}
-
 /// Shared handle to a transport object, as stored by the MPI layer.
 pub type SharedTransport<M> = Arc<dyn Transport<M>>;
 

@@ -157,7 +157,7 @@ mod imp {
         }
 
         extern "C" {
-            pub fn epoll_create1(flags: c_int) -> c_int;
+            pub(crate) fn epoll_create1(flags: c_int) -> c_int;
             pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, ev: *mut EpollEvent) -> c_int;
             pub fn epoll_wait(
                 epfd: c_int,
@@ -268,17 +268,17 @@ mod imp {
         /// the socket is already readable, edge-triggered ADD delivers
         /// the initial event immediately — nothing is lost in the
         /// connect→register window.
-        pub fn add_peer(&self, fd: c_int, rank: usize) -> bool {
+        pub(crate) fn add_peer(&self, fd: c_int, rank: usize) -> bool {
             self.ctl(sys::EPOLL_CTL_ADD, fd, rank as u64, true)
         }
 
         /// Register an accepted, not-yet-identified socket.
-        pub fn add_pending(&self, fd: c_int) -> bool {
+        pub(crate) fn add_pending(&self, fd: c_int) -> bool {
             self.ctl(sys::EPOLL_CTL_ADD, fd, TOKEN_PENDING, true)
         }
 
         /// Retag a pending socket that identified itself as `rank`.
-        pub fn promote_pending(&self, fd: c_int, rank: usize) -> bool {
+        pub(crate) fn promote_pending(&self, fd: c_int, rank: usize) -> bool {
             self.ctl(sys::EPOLL_CTL_MOD, fd, rank as u64, true)
         }
 
@@ -286,7 +286,7 @@ mod imp {
         /// an fd removes it from every epoll set — but pending strays
         /// handed to other owners need an explicit goodbye.
         #[allow(dead_code)]
-        pub fn del(&self, fd: c_int) -> bool {
+        pub(crate) fn del(&self, fd: c_int) -> bool {
             mpfa_obs::global_counters()
                 .wire_syscalls
                 .fetch_add(1, Ordering::Relaxed);
@@ -410,17 +410,17 @@ mod imp {
         }
 
         /// No-op off Linux.
-        pub fn add_peer(&self, _fd: i32, _rank: usize) -> bool {
+        pub(crate) fn add_peer(&self, _fd: i32, _rank: usize) -> bool {
             false
         }
 
         /// No-op off Linux.
-        pub fn add_pending(&self, _fd: i32) -> bool {
+        pub(crate) fn add_pending(&self, _fd: i32) -> bool {
             false
         }
 
         /// No-op off Linux.
-        pub fn promote_pending(&self, _fd: i32, _rank: usize) -> bool {
+        pub(crate) fn promote_pending(&self, _fd: i32, _rank: usize) -> bool {
             false
         }
 

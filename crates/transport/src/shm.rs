@@ -132,8 +132,8 @@ mod sys {
             fd: c_int,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        pub fn flock(fd: c_int, operation: c_int) -> c_int;
+        pub(crate) fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub(crate) fn flock(fd: c_int, operation: c_int) -> c_int;
     }
 }
 
@@ -881,7 +881,7 @@ impl<M: FrameCodec> Link<M> for Rings {
 /// Build an in-process shm world: one segment per rank in a fresh
 /// temp directory, everyone attached to everyone. The harness behind
 /// `loopback_mesh(TransportKind::Shm, ..)`.
-pub fn shm_mesh<M: FrameCodec>(
+pub(crate) fn shm_mesh<M: FrameCodec>(
     ranks: usize,
     eps_per_rank: usize,
 ) -> io::Result<Vec<ShmTransport<M>>> {

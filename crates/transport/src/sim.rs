@@ -247,19 +247,30 @@ mod tests {
         assert_eq!(f.packets_shmem(), 1);
     }
 
+    /// Schedule `victim`'s death at `at` on every other rank's transport.
+    fn schedule_kill<M: Send>(mesh: &[Arc<dyn Transport<M>>], victim: usize, at: f64) -> bool {
+        let mut all = true;
+        for (r, t) in mesh.iter().enumerate() {
+            if r != victim {
+                all &= t.schedule_kill(victim, at);
+            }
+        }
+        all
+    }
+
     #[test]
     fn scheduled_kill_fires_when_clock_reaches_it() {
         let f: Fabric<u8> = Fabric::new(FabricConfig::instant(3));
         let mesh = sim_rank_views(f, 3, 1);
         let far_future = wtime() + 3600.0;
-        assert!(crate::mesh_schedule_kill(&mesh, 2, far_future));
+        assert!(schedule_kill(&mesh, 2, far_future));
         // Not due yet: everyone still alive, sends still succeed.
         assert!(mesh[0].peer_alive(2));
         assert_eq!(mesh[0].dead_peers(), 0);
         assert!(!mesh[0].send(0, 2, 1, 0).is_failed());
         // A schedule already in the past is reaped at the next
         // observation.
-        assert!(crate::mesh_schedule_kill(&mesh, 1, wtime() - 1.0));
+        assert!(schedule_kill(&mesh, 1, wtime() - 1.0));
         assert!(!mesh[0].peer_alive(1));
         assert_eq!(mesh[0].dead_peers(), 1);
         assert!(mesh[0].send(0, 1, 1, 0).is_failed());

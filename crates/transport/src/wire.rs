@@ -360,18 +360,20 @@ impl<M: FrameCodec, F: SockFamily> WireTransport<M, F> {
     }
 
     /// This rank's concrete data address (what peers dial).
-    pub fn addr(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn addr(&self) -> &str {
         &self.link.addr
     }
 
     /// Total queued-but-unsent TX bytes across all peers (framed bytes,
     /// headers included).
-    pub fn queued_tx_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn queued_tx_bytes(&self) -> usize {
         self.link.peers.iter().map(|p| p.lock().tx.bytes()).sum()
     }
 
     /// True when every peer connection is live.
-    pub fn mesh_ready(&self) -> bool {
+    pub(crate) fn mesh_ready(&self) -> bool {
         (0..self.frames.ranks)
             .filter(|&r| r != self.frames.my_rank)
             .all(|r| matches!(self.link.peers[r].lock().state, PeerState::Connected(_)))

@@ -4,12 +4,13 @@
 //!   `CompletionNotifier` scan hook.
 //! * A generalized request completed from inside an `MPIX_Async` poll
 //!   (Listing 1.7), waited on with plain `MPI_Wait`.
-//! * An `MPIX_Continue`-style continuation chain.
+//! * An `MPIX_Continue` continuation request (Section 5.4).
 //!
 //! Run with: `cargo run --release --example event_driven`
 
+use mpfa::cont::ContinuationRequest;
 use mpfa::core::{grequest_start, wtime, AsyncPoll, CompletionCounter, NoopOps};
-use mpfa::interop::{CompletionNotifier, ContinuationContext};
+use mpfa::interop::CompletionNotifier;
 use mpfa::mpi::{Proc, World, WorldConfig};
 
 fn main() {
@@ -66,13 +67,13 @@ fn rank_main(proc: Proc) {
         println!("rank 0: generalized request completed via MPIX_Async (Listing 1.7)");
     }
 
-    // --- MPIX_Continue-style chaining ------------------------------------
-    let ctx = ContinuationContext::new(&stream);
+    // --- MPIX_Continue: a continuation request ---------------------------
+    let ctx = ContinuationRequest::new(&stream);
     let recv = comm.irecv::<f64>(3, peer, 9).unwrap();
     let done = CompletionCounter::new(1);
     let d = done.clone();
-    ctx.attach(recv.request(), move |status| {
-        assert_eq!(status.bytes, 24);
+    ctx.attach(&recv.request(), move |res| {
+        assert_eq!(res.expect("receive succeeds").bytes, 24);
         d.done();
     });
     comm.isend(&[1.0f64, 2.0, 3.0], peer, 9).unwrap();
@@ -80,7 +81,7 @@ fn rank_main(proc: Proc) {
     cont_req.wait();
     assert!(done.is_zero());
     if rank == 0 {
-        println!("rank 0: continuation chain completed (Section 5.4 comparator)");
+        println!("rank 0: continuation request completed (Section 5.4)");
     }
 
     proc.finalize(1.0);

@@ -28,8 +28,9 @@
 //!   rank answers `frontier()` locally, and push-style emit-on-frontier
 //!   callbacks via continuations. See `docs/FLOW.md`.
 //! * [`interop`] — what the extensions enable: user-level collectives,
-//!   task classes, completion callbacks, continuation- and schedule-style
-//!   comparator APIs, an event loop.
+//!   task classes, scan-based completion callbacks (Listing 1.6), a
+//!   schedule-style comparator API, a progress-engine thread and a task
+//!   graph. The native continuations and `block_on` are in [`cont`].
 //! * [`transport`] — the pluggable packet substrate: the simulated
 //!   fabric behind a `Transport` trait plus real TCP and Unix-domain
 //!   wire backends, bootstrap rendezvous, and the `mpfarun` launcher.
