@@ -40,6 +40,8 @@
 pub mod continuation;
 pub mod executor;
 pub mod future;
+#[cfg(test)]
+mod futures;
 
 pub use continuation::ContinuationRequest;
 pub use executor::{Executor, JoinHandle};
